@@ -142,21 +142,8 @@ let explore_cmd =
       value & opt int 1
       & info [ "j"; "jobs" ] ~docv:"J"
           ~doc:
-            "Domains to fan the search across.  Every reported number is \
-             byte-identical for every value.")
-  in
-  let split_depth =
-    Arg.(
-      value & opt int 2
-      & info [ "split-depth" ] ~docv:"D"
-          ~doc:
-            "Tree levels to expand into independent subtree tasks before \
-             searching (default 2).  0 keeps the search monolithic: no \
-             parallelism, but one shared dedup table — states reachable \
-             along several top-level prefixes (and, under symmetry, \
-             whole permuted subtrees) merge instead of being re-explored \
-             per task, so reported states drop further.  Every reported \
-             number is byte-identical across --jobs for any fixed value.")
+            "Accepted for compatibility; has no effect.  The search is one \
+             depth-first pass against a single dedup table.")
   in
   let json =
     Arg.(
@@ -193,14 +180,15 @@ let explore_cmd =
       & opt (some int) None
       & info [ "mem-budget" ] ~docv:"MIB"
           ~doc:
-            "Cap the resident dedup tables at $(docv) MiB per subtree \
-             task; segments beyond the window spill to binary files under \
-             the system temp dir and are read back on probe misses.  \
+            "Cap the resident dedup tables at $(docv) MiB per search; \
+             segments beyond the window spill to binary files in a fresh \
+             directory under the system temp dir (removed when the search \
+             ends) and are read back on probe misses.  \
              Verdicts and all counts except the spill counters are \
              byte-identical to an unbudgeted run.")
   in
   let run (module A : Core.Signaling.POLLING) n waiters polls signalers
-      static_indep cap jobs split_depth json no_dedup no_por no_symmetry
+      static_indep cap jobs json no_dedup no_por no_symmetry
       mem_budget =
     let open Smr in
     let ctx = Var.Ctx.create () in
@@ -280,17 +268,21 @@ let explore_cmd =
           "symmetry: declined (waiter programs not interchangeable); running \
            without reduction@.";
     let mem_budget_bytes = Option.map (fun mib -> mib * 1024 * 1024) mem_budget in
-    let r =
-      Explore.check ~max_histories:cap ~dedup:(not no_dedup) ~por:(not no_por)
-        ~commute ~jobs ~split_depth ~symmetry ?mem_budget:mem_budget_bytes
-        ~layout
-        ~model:(Cost_model.dsm layout) ~n ~scripts
-        ~property:Core.Signaling.polling_ok
-        ()
+    let search ~lean =
+      match
+        Explore.check ~max_histories:cap ~dedup:(not no_dedup)
+          ~por:(not no_por) ~commute ~lean ~jobs ~symmetry
+          ?mem_budget:mem_budget_bytes ~layout ~model:(Cost_model.dsm layout)
+          ~n ~scripts ~property:Core.Signaling.polling_ok ()
+      with
+      | r -> r
+      | exception Failure msg ->
+        Fmt.epr "separation explore: %s@." msg;
+        exit 1
     in
-    (* The table carries only jobs-invariant facts: jobs and wall time stay
-       out so a jobs=1 vs jobs=J byte-comparison of the JSON is meaningful;
-       timing goes to stderr. *)
+    let r = search ~lean:true in
+    (* The table carries only deterministic facts: jobs and wall time stay
+       out so two runs' JSON can be byte-compared; timing goes to stderr. *)
     let table =
       Core.Results.make ~experiment:"explore"
         ~title:
@@ -303,7 +295,7 @@ let explore_cmd =
               ("polls", int polls); ("signalers", int signalers);
               ("cap", int cap); ("dedup", bool (not no_dedup));
               ("por", bool (not no_por)); ("static_indep", bool static_indep);
-              ("symmetry", int sym_k); ("split_depth", int split_depth);
+              ("symmetry", int sym_k);
               ("mem_budget_mib", int (Option.value mem_budget ~default:0)) ]
         ~columns:
           Core.Results.
@@ -330,7 +322,7 @@ let explore_cmd =
               int r.Explore.stats.Explore.spill_segments;
               int r.Explore.stats.Explore.spill_reloads ] ]
     in
-    Fmt.epr "search took %.2fs (%d jobs)@." r.Explore.stats.Explore.wall_s jobs;
+    Fmt.epr "search took %.2fs@." r.Explore.stats.Explore.wall_s;
     if json then print_string (Core.Results.to_json table)
     else begin
       Fmt.pr "%s: %d histories%s, %s; %d states (%d dedup hits, %d orbit \
@@ -368,14 +360,7 @@ let explore_cmd =
         let sim =
           if not (Sim.is_lean sim) then sim
           else
-            match
-              (Explore.check ~max_histories:cap ~dedup:(not no_dedup)
-                 ~por:(not no_por) ~commute ~lean:false ~jobs ~split_depth
-                 ~symmetry ?mem_budget:mem_budget_bytes ~layout
-                 ~model:(Cost_model.dsm layout) ~n ~scripts
-                 ~property:Core.Signaling.polling_ok ())
-                .Explore.violation
-            with
+            match (search ~lean:false).Explore.violation with
             | Some sim -> sim
             | None -> sim
         in
@@ -389,7 +374,7 @@ let explore_cmd =
           configuration and check Specification 4.1.")
     Term.(
       const run $ algo $ n_arg $ waiters $ polls $ signalers $ static_indep
-      $ cap $ jobs $ split_depth $ json $ no_dedup $ no_por $ no_symmetry
+      $ cap $ jobs $ json $ no_dedup $ no_por $ no_symmetry
       $ mem_budget)
 
 let adversary_cmd =

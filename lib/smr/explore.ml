@@ -7,9 +7,9 @@
    branch is just a retained binding) and evaluates a property on every
    complete history.
 
-   The naive step-level DFS explodes combinatorially, so three reductions
-   make exhaustive checking scale past toy scopes, all of them exploiting
-   the persistence of [Sim.t]:
+   The naive step-level DFS explodes combinatorially, so two reductions
+   make exhaustive checking scale past toy scopes, both of them exploiting
+   the persistence of [Sim.t] (symmetry reduction, below, is a third):
 
    - State deduplication.  A canonical fingerprint of (memory contents,
      per-process control point) identifies states whose futures coincide;
@@ -34,14 +34,14 @@
      moves).  Only one representative order per commuting pair is
      explored.
 
-   - Deterministic frontier parallelism.  The first [split_depth] levels
-     are expanded sequentially into independent subtree tasks which fan
-     out across domains via [Parallel.map]'s shared atomic task queue;
-     each task owns a private visited table and draws its history budget
-     as chunked leases from a shared atomic pool, and a reconciliation
-     pass in task order then restores the canonical sequential
-     accounting, so the merged verdict is byte-identical for every job
-     count.
+   The search is one depth-first pass from the root on the calling domain,
+   against one dedup table.  Splitting the tree into subtree tasks with
+   private tables does not pay: a state reachable under two tasks is
+   explored once per task, and at the benchmark scopes that costs 4-9x
+   the states, more than two domains win back.  A table shared between
+   domains would not be deterministic either, because sleep-set
+   antichains depend on visit order.  Every reported number is therefore
+   a pure function of the inputs.
 
    Three further constant-factor decisions keep the per-state cost flat
    (see docs/MODEL.md, "Exploration fast path"):
@@ -95,16 +95,16 @@ type stats = {
   states : int; (* search nodes visited (dedup/POR-pruned nodes included) *)
   dedup_hits : int; (* nodes pruned because an equivalent state was explored *)
   por_prunes : int; (* nodes whose every enabled move was asleep *)
-  tasks : int; (* parallel subtree tasks the frontier split produced *)
+  tasks : int; (* always 1: the search is one depth-first pass *)
   max_depth : int; (* deepest step count reached on any branch *)
   orbit_hits : int; (* dedup hits whose canonical key was relabeled *)
-  fp_distinct : int; (* distinct dedup keys interned, summed over tasks *)
+  fp_distinct : int; (* distinct dedup keys interned *)
   fp_collisions : int; (* full-hash collisions among distinct keys *)
-  fp_resizes : int; (* intern-table slot doublings, summed over tasks *)
-  fp_slots : int; (* intern-table slot capacity, summed over tasks *)
+  fp_resizes : int; (* intern-table slot doublings *)
+  fp_slots : int; (* intern-table slot capacity *)
   spill_segments : int; (* segment files written under --mem-budget *)
   spill_reloads : int; (* segments read back on a probe miss *)
-  wall_s : float; (* wall-clock seconds (the only jobs-dependent field) *)
+  wall_s : float; (* wall-clock seconds (the only run-dependent field) *)
 }
 
 type result = {
@@ -251,9 +251,7 @@ let fp_equal a b =
   metas_equal a.fp_meta b.fp_meta
   && Memory.same_fingerprint a.fp_mem b.fp_mem
 
-(* Rolling-hash mixer for the incremental response hash and the state hash
-   below. *)
-let mix h x = (((h * 31) + x + 1) * 0x2545F491) land max_int
+let mix = Fp_intern.mix
 
 (* The generic [Hashtbl.hash] is unusable here: its traversal is capped at
    256 nodes, and deep in a spin loop every state shares the same 256-node
@@ -271,21 +269,26 @@ let rec hash_snap (s : int array) i h =
    addition commutes, so the sum can be maintained incrementally — each
    move changes exactly one slot, and [apply_move] swaps that slot's
    contribution out and in — making the per-node hashing cost O(1) slots
-   instead of a walk over all of them.  The weaker mixing of a sum is
-   acceptable for the same reason every other hash here is: [fp_equal]
-   decides matches exactly, collisions cost time, never soundness. *)
-let slot_hash (i : int) = function
-  | P_idle (c, r) ->
-    mix
-      (mix (mix ((i + 1) * 0x9E3779B9) 5) c)
-      (match r with None -> min_int | Some v -> v)
-  | P_running m ->
-    hash_snap m.snap 0
-      (mix
-         (mix
-            (mix (mix (mix ((i + 1) * 0x9E3779B9) 7) m.label_h) m.seq)
-            m.resps_len)
-         m.resps_h)
+   instead of a walk over all of them.  Each slot hash goes through
+   [Fp_intern.avalanche] before it is summed: [mix] alone is affine, and a
+   sum of affine slot hashes would depend only on per-field totals across
+   processes, so states that shift a count from one process to another
+   would collide.  [fp_equal] decides matches exactly, so collisions cost
+   time, never soundness. *)
+let slot_hash (i : int) pm =
+  Fp_intern.avalanche
+    (match pm with
+    | P_idle (c, r) ->
+      mix
+        (mix (mix ((i + 1) * 0x9E3779B9) 5) c)
+        (match r with None -> min_int | Some v -> v)
+    | P_running m ->
+      hash_snap m.snap 0
+        (mix
+           (mix
+              (mix (mix (mix ((i + 1) * 0x9E3779B9) 7) m.label_h) m.seq)
+              m.resps_len)
+           m.resps_h))
 
 (* Full slot-hash sum of a metadata array — the non-incremental form of
    the state hash, used at the root and whenever canonicalization has
@@ -686,322 +689,79 @@ let child_sleep ~por ~commute ~completed ms sleep explored mv =
           | None -> false)
         (Pid_set.union sleep explored)
 
-(* --- subtree exploration --- *)
-
-type task = {
-  t_sim : Sim.t;
-  t_meta : pmeta array;
-  t_counts : int array; (* completed calls per pid, in lockstep with t_meta *)
-  t_mh : int; (* incrementally-maintained slot-hash sum of t_meta *)
-  t_sleep : Pid_set.t;
-  t_depth : int;
-  t_completed : bool; (* the move into this node completed a call *)
-}
-
-type sub = {
-  s_histories : int;
-  s_truncated : int;
-  s_states : int;
-  s_dedup : int;
-  s_por : int;
-  s_maxd : int;
-  s_violation : Sim.t option;
-  s_capped : bool;
-  s_orbit : int; (* dedup hits whose canonical key was relabeled *)
-  s_fp_distinct : int;
-  s_fp_collisions : int;
-  s_fp_resizes : int;
-  s_fp_slots : int;
-  s_spill_segments : int; (* segment files written *)
-  s_spill_reloads : int; (* segments read back on a probe miss *)
-}
-
-(* How a subtree task may count leaves.
-
-   [B_fixed n]: count exactly up to [n] leaves, then stop "capped"
-   immediately after the [n]-th — the canonical sequential semantics.
-
-   [B_shared pool]: draw chunked leases from a shared atomic pool; a task
-   that cannot refill stops capped at the same program point (immediately
-   after the leaf that drained its allowance).  Leasing is first-come-
-   first-served and therefore scheduling-dependent; the reconciliation
-   pass in [check] restores the canonical accounting afterwards.  Unused
-   allowance is refunded when the task stops, so at jobs=1 the pool drains
-   exactly in task order and reconciliation accepts every task as-is. *)
-type budget_src = B_fixed of int | B_shared of int Atomic.t
-
-let lease_chunk = 64
-
-let take_lease pool =
-  let rec go () =
-    let avail = Atomic.get pool in
-    if avail <= 0 then 0
-    else
-      let want = min lease_chunk avail in
-      if Atomic.compare_and_set pool avail (avail - want) then want else go ()
-  in
-  go ()
+(* --- the search --- *)
 
 exception Stopped of Sim.t option (* [Some sim]: violation; [None]: cap hit *)
 
-(* Depth-first exploration of one subtree with a private visited table and
-   history allowance.  With [B_fixed] the result is a pure function of the
-   task and the budget; with [B_shared] only the {e stop point} may vary
-   with scheduling, and it always lies immediately after some counted
-   leaf — which is what lets [check] reconcile shared-lease runs against
-   the fixed-budget semantics without re-exploring completed tasks. *)
-let explore_subtree ~dedup ~por ~commute ~property ~scripts
-    ~max_steps_per_history ~budget ~sym ~disk task =
+(* A fresh directory of its own under [base] for one budgeted search's
+   segment files.  The name is random, and creating it with [mkdir] is
+   exclusive, so concurrent searches sharing a base directory never share
+   files.  A name that already exists is retried; so is a base directory
+   that vanished in between (a concurrent search removes the base when it
+   finishes and finds it empty).  Any other failure is reported. *)
+let rec make_spill_dir ?(attempts = 16) base =
+  let fail msg =
+    failwith ("Explore.check: cannot create a spill directory: " ^ msg)
+  in
+  (try Sys.mkdir base 0o700
+   with Sys_error msg -> if not (Sys.file_exists base) then fail msg);
+  let bits = Random.State.bits (Random.State.make_self_init ()) in
+  let dir = Filename.concat base (Printf.sprintf "run-%08x" bits) in
+  match Sys.mkdir dir 0o700 with
+  | () -> dir
+  | exception Sys_error msg ->
+    if attempts > 1 && (Sys.file_exists dir || not (Sys.file_exists base))
+    then make_spill_dir ~attempts:(attempts - 1) base
+    else fail msg
+
+let check ?tracer ?(max_histories = 1_000_000) ?(max_steps_per_history = 500)
+    ?(dedup = true) ?(por = true) ?(commute = Op.commute) ?(lean = true)
+    ?jobs:(_ : int option) ?(symmetry = Pid_set.empty) ?mem_budget ?spill_dir
+    ?(spill_seg_keys = 4096) ~layout ~model ~n ~scripts ~property () =
+  (* Monotonic wall clock, not [Sys.time] (which is CPU time). *)
+  let t0 = Obs.Clock.now_s () in
+  let sym = sym_ctx ~n symmetry in
+  let sim0 = Sim.create ~model ~layout ~n in
+  let sim0 = if lean then Sim.lean_mode sim0 else sim0 in
   (* State identity: (incremental hash, exact key) pairs interned to dense
      ints; the visited table and its sleep-set antichains then key on
-     ints.  Both tables are task-private, so no synchronization.  With
-     [disk = Some (dir, budget_bytes, seg_keys)] the keys are byte-encoded
-     instead and both tables live in a {!Spill} store whose segments page
-     out to [dir] under the byte budget; the dedup decisions are identical
-     (the encoding is faithful to [fp_equal]), only the counters gain
-     spill telemetry. *)
-  let intern : fp Fp_intern.t = Fp_intern.create ~equal:fp_equal () in
-  let store =
-    match disk with
-    | None -> None
-    | Some (dir, budget_bytes, seg_keys) ->
-      Some
-        (Spill.create ~dir ~seg_keys ~budget_bytes ~chain_zero:[]
-           ~chain_bytes:antichain_bytes ())
-  in
-  let buf = Buffer.create 256 in
-  (* Sleep-set antichains, indexed directly by interned id: ids are dense
-     (0, 1, 2, ...), so a growable array replaces a second hash lookup. *)
-  let visited : Pid_set.t list array ref = ref (Array.make 1024 []) in
-  let antichain id =
-    let arr = !visited in
-    if id < Array.length arr then arr.(id)
-    else begin
-      let arr' = Array.make (max (2 * Array.length arr) (id + 1)) [] in
-      Array.blit arr 0 arr' 0 (Array.length arr);
-      visited := arr';
-      []
-    end
-  in
-  let histories = ref 0 and truncated = ref 0 and states = ref 0 in
-  let dedup_hits = ref 0 and por_prunes = ref 0 and maxd = ref 0 in
-  let orbit_hits = ref 0 in
-  let credits = ref 0 in (* leaves we may still count before refilling *)
-  let leaf ~checked sim =
-    incr histories;
-    if (not checked) && not (property sim) then raise (Stopped (Some sim));
-    decr credits;
-    if !credits = 0 then begin
-      (match budget with
-      | B_fixed _ -> ()
-      | B_shared pool -> credits := take_lease pool);
-      if !credits = 0 then raise (Stopped None)
-    end
-  in
-  let rec visit sim meta counts mh sleep depth ~completed =
-    incr states;
-    if depth > !maxd then maxd := depth;
-    (* The verdict can change only when a call completes; checking there
-       (rather than at leaves alone) is what makes pruning sound: every
-       prefix is judged before its extensions are shared or discarded. *)
-    let checked =
-      completed
-      && (if property sim then true else raise (Stopped (Some sim)))
+     ints.  With [store = Some st] the keys are byte-encoded instead and
+     both tables live in a {!Spill} store whose segments page out under
+     the byte budget; the dedup decisions are identical (the encoding is
+     faithful to [fp_equal]), only the counters gain spill telemetry. *)
+  let search store =
+    let intern : fp Fp_intern.t = Fp_intern.create ~equal:fp_equal () in
+    let buf = Buffer.create 256 in
+    (* Sleep-set antichains, indexed directly by interned id: ids are
+       dense (0, 1, 2, ...), so a growable array replaces a second hash
+       lookup. *)
+    let visited : Pid_set.t list array ref = ref (Array.make 1024 []) in
+    let antichain id =
+      let arr = !visited in
+      if id < Array.length arr then arr.(id)
+      else begin
+        let arr' = Array.make (max (2 * Array.length arr) (id + 1)) [] in
+        Array.blit arr 0 arr' 0 (Array.length arr);
+        visited := arr';
+        []
+      end
     in
-    if depth >= max_steps_per_history then begin
-      incr truncated;
-      leaf ~checked sim
-    end
-    else
-      match moves scripts meta sim with
-      | [] -> leaf ~checked sim
-      | ms -> (
-        let descend awake =
-          ignore
-            (List.fold_left
-               (fun explored (p, mv) ->
-                 let sim', meta', counts', mh', completed =
-                   apply_move sim meta counts mh p mv
-                 in
-                 let sleep' =
-                   child_sleep ~por ~commute ~completed ms sleep explored mv
-                 in
-                 visit sim' meta' counts' mh' sleep' (depth + 1) ~completed;
-                 Pid_set.add p explored)
-               Pid_set.empty awake)
-        in
-        match List.filter (fun (p, _) -> not (Pid_set.mem p sleep)) ms with
-        | [] ->
-          (* Every enabled move is asleep: each is independent of some
-             already-explored sibling order, so this branch is covered by
-             a representative elsewhere; not a leaf. *)
-          incr por_prunes
-        | awake ->
-          let fresh =
-            (not dedup)
-            ||
-            (* The dedup key — never the live search state — is mapped to
-               its orbit-canonical representative; the sleep set crosses
-               into the same canonical coordinates before it meets the
-               antichain (recorded entries live there too). *)
-            let cmeta, perm =
-              match sym with
-              | None -> (meta, None)
-              | Some ctx -> canonical ctx meta
-            in
-            let cmh = match perm with None -> mh | Some _ -> mh_full cmeta in
-            let csleep =
-              match perm with
-              | None -> sleep
-              | Some pi -> Pid_set.map (fun q -> pi.(q)) sleep
-            in
-            let mem = Sim.memory sim in
-            (* Prune iff a prior visit (of the orbit) had a sleep set no
-               larger (so no fewer awake moves).  The remaining depth
-               budget is deliberately not compared: a revisit may arrive
-               shallower (a completed call got there in fewer spin
-               iterations) and so see a slightly deeper horizon, but
-               comparing budgets re-explores every spin state once per
-               distinct arrival depth — the dominant cost on spin-heavy
-               searches.  When no branch truncates the budget never binds
-               and pruning is exact; when one does, the run is already
-               reported incomplete. *)
-            let hit =
-              match store with
-              | None ->
-                let key = { fp_mem = mem; fp_meta = cmeta } in
-                let id =
-                  Fp_intern.intern intern
-                    ~hash:(mix (Memory.fp_hash mem) cmh)
-                    key
-                in
-                let entries = antichain id in
-                if List.exists (fun sl -> Pid_set.subset sl csleep) entries
-                then true
-                else begin
-                  !visited.(id) <-
-                    csleep
-                    :: List.filter
-                         (fun sl -> not (Pid_set.subset csleep sl))
-                         entries;
-                  false
-                end
-              | Some st ->
-                let bytes = encode_key buf cmeta mem in
-                let id = Spill.intern st ~hash:(hash_bytes bytes) bytes in
-                let entries = Spill.chain st id in
-                if List.exists (fun sl -> Pid_set.subset sl csleep) entries
-                then true
-                else begin
-                  Spill.set_chain st id
-                    (csleep
-                    :: List.filter
-                         (fun sl -> not (Pid_set.subset csleep sl))
-                         entries);
-                  false
-                end
-            in
-            if hit then begin
-              incr dedup_hits;
-              if perm <> None then incr orbit_hits;
-              false
-            end
-            else true
-          in
-          if fresh then descend awake)
-  in
-  let initial_credits =
-    match budget with B_fixed n -> max 0 n | B_shared pool -> take_lease pool
-  in
-  let violation, capped =
-    if initial_credits <= 0 then (None, true)
-    else begin
-      credits := initial_credits;
-      let outcome =
-        match
-          visit task.t_sim task.t_meta task.t_counts task.t_mh task.t_sleep
-            task.t_depth ~completed:task.t_completed
-        with
-        | () -> (None, false)
-        | exception Stopped v -> (v, v = None)
-      in
-      (* Return what we did not consume, so later tasks can lease it. *)
-      (match budget with
-      | B_fixed _ -> ()
-      | B_shared pool ->
-        ignore (Atomic.fetch_and_add pool !credits);
-        credits := 0);
-      outcome
-    end
-  in
-  let fp_distinct, fp_collisions, fp_resizes, fp_slots, spill_segs, spill_rl =
-    match store with
-    | None ->
-      ( Fp_intern.distinct intern,
-        Fp_intern.collisions intern,
-        Fp_intern.resizes intern,
-        Fp_intern.slots intern,
-        0,
-        0 )
-    | Some st ->
-      let r =
-        ( Spill.distinct st,
-          Spill.collisions st,
-          Spill.resizes st,
-          Spill.slots st,
-          Spill.spilled st,
-          Spill.reloads st )
-      in
-      Spill.cleanup st;
-      r
-  in
-  { s_histories = !histories;
-    s_truncated = !truncated;
-    s_states = !states;
-    s_dedup = !dedup_hits;
-    s_por = !por_prunes;
-    s_maxd = !maxd;
-    s_violation = violation;
-    s_capped = capped;
-    s_orbit = !orbit_hits;
-    s_fp_distinct = fp_distinct;
-    s_fp_collisions = fp_collisions;
-    s_fp_resizes = fp_resizes;
-    s_fp_slots = fp_slots;
-    s_spill_segments = spill_segs;
-    s_spill_reloads = spill_rl }
-
-(* Expand the first [split_depth] levels sequentially (POR-aware, property
-   checked, leaves and truncations accounted) and collect the depth-
-   [split_depth] nodes as independent tasks, in DFS order.  The expansion
-   never dedups — frontier nodes must all be produced so that the task
-   list, and hence the merged verdict, is a pure function of the input. *)
-let expand ~por ~commute ~property ~scripts ~n ~max_steps_per_history
-    ~max_histories ~split_depth sim0 =
-  let tasks = ref [] in
-  let histories = ref 0 and truncated = ref 0 and states = ref 0 in
-  let maxd = ref 0 in
-  let leaf ~checked sim =
-    incr histories;
-    if (not checked) && not (property sim) then raise (Stopped (Some sim));
-    if !histories >= max_histories then raise (Stopped None)
-  in
-  let rec visit sim meta counts mh sleep depth ~completed =
-    if depth >= split_depth && moves scripts meta sim <> []
-       && depth < max_steps_per_history
-    then
-      tasks :=
-        { t_sim = sim;
-          t_meta = meta;
-          t_counts = counts;
-          t_mh = mh;
-          t_sleep = sleep;
-          t_depth = depth;
-          t_completed = completed }
-        :: !tasks
-    else begin
+    let histories = ref 0 and truncated = ref 0 and states = ref 0 in
+    let dedup_hits = ref 0 and por_prunes = ref 0 and maxd = ref 0 in
+    let orbit_hits = ref 0 in
+    (* [max_histories] stops the search immediately after the leaf that
+       reaches it. *)
+    let leaf ~checked sim =
+      incr histories;
+      if (not checked) && not (property sim) then raise (Stopped (Some sim));
+      if !histories >= max_histories then raise (Stopped None)
+    in
+    let rec visit sim meta counts mh sleep depth ~completed =
       incr states;
       if depth > !maxd then maxd := depth;
+      (* The verdict can change only when a call completes; checking there
+         (rather than at leaves alone) is what makes pruning sound: every
+         prefix is judged before its extensions are shared or discarded. *)
       let checked =
         completed
         && (if property sim then true else raise (Stopped (Some sim)))
@@ -1013,12 +773,11 @@ let expand ~por ~commute ~property ~scripts ~n ~max_steps_per_history
       else
         match moves scripts meta sim with
         | [] -> leaf ~checked sim
-        | ms ->
-          ignore
-            (List.fold_left
-               (fun explored (p, mv) ->
-                 if Pid_set.mem p sleep then explored
-                 else begin
+        | ms -> (
+          let descend awake =
+            ignore
+              (List.fold_left
+                 (fun explored (p, mv) ->
                    let sim', meta', counts', mh', completed =
                      apply_move sim meta counts mh p mv
                    in
@@ -1026,211 +785,181 @@ let expand ~por ~commute ~property ~scripts ~n ~max_steps_per_history
                      child_sleep ~por ~commute ~completed ms sleep explored mv
                    in
                    visit sim' meta' counts' mh' sleep' (depth + 1) ~completed;
-                   Pid_set.add p explored
-                 end)
-               Pid_set.empty ms)
-    end
+                   Pid_set.add p explored)
+                 Pid_set.empty awake)
+          in
+          match List.filter (fun (p, _) -> not (Pid_set.mem p sleep)) ms with
+          | [] ->
+            (* Every enabled move is asleep: each is independent of some
+               already-explored sibling order, so this branch is covered by
+               a representative elsewhere; not a leaf. *)
+            incr por_prunes
+          | awake ->
+            let fresh =
+              (not dedup)
+              ||
+              (* The dedup key — never the live search state — is mapped
+                 to its orbit-canonical representative; the sleep set
+                 crosses into the same canonical coordinates before it
+                 meets the antichain (recorded entries live there too). *)
+              let cmeta, perm =
+                match sym with
+                | None -> (meta, None)
+                | Some ctx -> canonical ctx meta
+              in
+              let cmh = match perm with None -> mh | Some _ -> mh_full cmeta in
+              let csleep =
+                match perm with
+                | None -> sleep
+                | Some pi -> Pid_set.map (fun q -> pi.(q)) sleep
+              in
+              let mem = Sim.memory sim in
+              (* Prune iff a prior visit (of the orbit) had a sleep set no
+                 larger (so no fewer awake moves).  The remaining depth
+                 budget is deliberately not compared: a revisit may arrive
+                 shallower (a completed call got there in fewer spin
+                 iterations) and so see a slightly deeper horizon, but
+                 comparing budgets re-explores every spin state once per
+                 distinct arrival depth — the dominant cost on spin-heavy
+                 searches.  When no branch truncates the budget never binds
+                 and pruning is exact; when one does, the run is already
+                 reported incomplete. *)
+              let hit =
+                match store with
+                | None ->
+                  let key = { fp_mem = mem; fp_meta = cmeta } in
+                  let id =
+                    Fp_intern.intern intern
+                      ~hash:(mix (Memory.fp_hash mem) cmh)
+                      key
+                  in
+                  let entries = antichain id in
+                  if List.exists (fun sl -> Pid_set.subset sl csleep) entries
+                  then true
+                  else begin
+                    !visited.(id) <-
+                      csleep
+                      :: List.filter
+                           (fun sl -> not (Pid_set.subset csleep sl))
+                           entries;
+                    false
+                  end
+                | Some st ->
+                  let bytes = encode_key buf cmeta mem in
+                  let id = Spill.intern st ~hash:(hash_bytes bytes) bytes in
+                  let entries = Spill.chain st id in
+                  if List.exists (fun sl -> Pid_set.subset sl csleep) entries
+                  then true
+                  else begin
+                    Spill.set_chain st id
+                      (csleep
+                      :: List.filter
+                           (fun sl -> not (Pid_set.subset csleep sl))
+                           entries);
+                    false
+                  end
+              in
+              if hit then begin
+                incr dedup_hits;
+                if perm <> None then incr orbit_hits;
+                false
+              end
+              else true
+            in
+            if fresh then descend awake)
+    in
+    let violation, capped =
+      if max_histories <= 0 then (None, true)
+      else
+        match
+          visit sim0 (meta0 n) (Array.make n 0) (mh0 n) Pid_set.empty 0
+            ~completed:false
+        with
+        | () -> (None, false)
+        | exception Stopped v -> (v, v = None)
+    in
+    let fp_distinct, fp_collisions, fp_resizes, fp_slots, spill_segments,
+        spill_reloads =
+      match store with
+      | None ->
+        ( Fp_intern.distinct intern,
+          Fp_intern.collisions intern,
+          Fp_intern.resizes intern,
+          Fp_intern.slots intern,
+          0,
+          0 )
+      | Some st ->
+        ( Spill.distinct st,
+          Spill.collisions st,
+          Spill.resizes st,
+          Spill.slots st,
+          Spill.spilled st,
+          Spill.reloads st )
+    in
+    (* [wall_s] is computed in exactly one place — here — and every other
+       reading of the elapsed time (the [explore_wall_seconds] metric) is
+       derived from the stats field itself, so the two can never
+       disagree. *)
+    { histories = !histories;
+      truncated = !truncated;
+      complete = violation = None && (not capped) && !truncated = 0;
+      violation;
+      stats =
+        { states = !states;
+          dedup_hits = !dedup_hits;
+          por_prunes = !por_prunes;
+          tasks = 1;
+          max_depth = !maxd;
+          orbit_hits = !orbit_hits;
+          fp_distinct;
+          fp_collisions;
+          fp_resizes;
+          fp_slots;
+          spill_segments;
+          spill_reloads;
+          wall_s = Obs.Clock.elapsed_s ~since:t0 } }
   in
-  let stopped =
-    match
-      visit sim0 (meta0 n) (Array.make n 0) (mh0 n) Pid_set.empty 0
-        ~completed:false
-    with
-    | () -> None
-    | exception Stopped v -> Some v
-  in
-  (List.rev !tasks, !histories, !truncated, !states, !maxd, stopped)
-
-let default_split_depth = 2
-
-let zero_capped_sub =
-  { s_histories = 0;
-    s_truncated = 0;
-    s_states = 0;
-    s_dedup = 0;
-    s_por = 0;
-    s_maxd = 0;
-    s_violation = None;
-    s_capped = true;
-    s_orbit = 0;
-    s_fp_distinct = 0;
-    s_fp_collisions = 0;
-    s_fp_resizes = 0;
-    s_fp_slots = 0;
-    s_spill_segments = 0;
-    s_spill_reloads = 0 }
-
-let check ?tracer ?(max_histories = 1_000_000) ?(max_steps_per_history = 500)
-    ?(dedup = true) ?(por = true) ?(commute = Op.commute) ?(lean = true)
-    ?(jobs = 1) ?(split_depth = default_split_depth)
-    ?(symmetry = Pid_set.empty) ?mem_budget ?spill_dir
-    ?(spill_seg_keys = 4096) ~layout ~model ~n ~scripts ~property () =
-  (* Monotonic wall clock, not [Sys.time] (which is CPU time and so *shrinks*
-     relative to elapsed time exactly when [jobs] > 1 parallelizes the search
-     — or inflates, summing across domains, depending on the runtime). *)
-  let t0 = Obs.Clock.now_s () in
-  let sym = sym_ctx ~n symmetry in
-  let spill_base =
-    match spill_dir with
-    | Some d -> d
-    | None ->
-      Filename.concat (Filename.get_temp_dir_name ()) "separation-explore-spill"
-  in
-  let disk_for tag =
+  let result =
     match mem_budget with
-    | None -> None
-    | Some b -> Some (Filename.concat spill_base tag, max 0 b, spill_seg_keys)
+    | None -> search None
+    | Some budget ->
+      let base =
+        match spill_dir with
+        | Some d -> d
+        | None ->
+          Filename.concat (Filename.get_temp_dir_name ())
+            "separation-explore-spill"
+      in
+      let dir = make_spill_dir base in
+      let st =
+        Spill.create ~dir ~seg_keys:spill_seg_keys ~budget_bytes:(max 0 budget)
+          ~chain_zero:[] ~chain_bytes:antichain_bytes ()
+      in
+      (* Every exit path — verdict, violation, cap or exception — removes
+         the run's files and directory, then the base if it is now empty
+         (best-effort: another search may still be using it). *)
+      Fun.protect
+        ~finally:(fun () ->
+          Spill.cleanup st;
+          (try Sys.rmdir dir with Sys_error _ -> ());
+          try Sys.rmdir base with Sys_error _ -> ())
+        (fun () -> search (Some st))
   in
-  (* Per-task stores mkdir only their own leaf directory. *)
-  (match mem_budget with
+  (* The span's ticks are synthetic (states explored), a deterministic
+     stand-in for time; wall time goes only into the metric. *)
+  (match tracer with
   | None -> ()
-  | Some _ -> ( try Sys.mkdir spill_base 0o700 with Sys_error _ -> ()));
-  let sim0 = Sim.create ~model ~layout ~n in
-  let sim0 = if lean then Sim.lean_mode sim0 else sim0 in
-  let split_depth = max 0 split_depth in
-  let tasks, pre_h, pre_t, pre_states, pre_maxd, stopped =
-    expand ~por ~commute ~property ~scripts ~n ~max_steps_per_history
-      ~max_histories ~split_depth sim0
-  in
-  (* [wall_s] is computed in exactly one place — here — and every other
-     reading of the elapsed time (the [explore_wall_seconds] metric) is
-     derived from the stats field itself, so the two can never disagree. *)
-  let finish ~histories ~truncated ~states ~dedup_hits ~por_prunes ~tasks:k
-      ~max_depth ~orbit_hits ~fp_distinct ~fp_collisions ~fp_resizes
-      ~fp_slots ~spill_segments ~spill_reloads ~violation ~capped =
-    let result =
-      { histories;
-        truncated;
-        complete = violation = None && (not capped) && truncated = 0;
-        violation;
-        stats =
-          { states;
-            dedup_hits;
-            por_prunes;
-            tasks = k;
-            max_depth;
-            orbit_hits;
-            fp_distinct;
-            fp_collisions;
-            fp_resizes;
-            fp_slots;
-            spill_segments;
-            spill_reloads;
-            wall_s = Obs.Clock.elapsed_s ~since:t0 } }
-    in
-    (match tracer with
-    | None -> ()
-    | Some tr ->
-      Obs.Metrics.observe (Obs.Trace.metrics tr) "explore_wall_seconds"
-        ~labels:[] result.stats.wall_s);
-    result
-  in
-  match stopped with
-  | Some v ->
-    (* The expansion itself found a violation or hit the cap; subtree tasks
-       are skipped, deterministically. *)
-    finish ~histories:pre_h ~truncated:pre_t ~states:pre_states ~dedup_hits:0
-      ~por_prunes:0 ~tasks:0 ~max_depth:pre_maxd ~orbit_hits:0 ~fp_distinct:0
-      ~fp_collisions:0 ~fp_resizes:0 ~fp_slots:0 ~spill_segments:0
-      ~spill_reloads:0 ~violation:v ~capped:(v = None)
-  | None ->
-    let k = List.length tasks in
-    let indexed = List.mapi (fun i task -> (i, task)) tasks in
-    (* Spill directories are derived from the task index (plus an "f"
-       suffix for fixed-budget reconciliation re-runs, which must not
-       share files with the shared-lease attempt) — deterministic, and
-       disjoint across concurrent tasks. *)
-    let run_task ~suffix budget (i, task) =
-      explore_subtree ~dedup ~por ~commute ~property ~scripts
-        ~max_steps_per_history ~budget ~sym
-        ~disk:(disk_for (Printf.sprintf "task%d%s" i suffix))
-        task
-    in
-    (* Dynamic work-sharing: tasks are drained from [Parallel.map]'s shared
-       atomic queue, and each draws history allowance as chunked leases
-       from one shared pool — so no task idles on a private slice of the
-       budget while a spin-heavy sibling starves. *)
-    let remaining_cap = max 0 (max_histories - pre_h) in
-    let pool = Atomic.make remaining_cap in
-    let raw = Parallel.map ~jobs (run_task ~suffix:"" (B_shared pool)) indexed in
-    (* Reconciliation, in task order: normalize the first-come-first-served
-       lease accounting back to the canonical semantics "task [i] may
-       count whatever of [max_histories] its predecessors left over".  A
-       task is accepted as-is when its recorded run provably equals the
-       fixed-budget run — it finished naturally within the remaining
-       budget, or it stopped by exhaustion exactly at the remaining budget
-       (same stop point, immediately after that leaf).  Anything else
-       (starved by concurrent leases, or run past what the sequential
-       budget allows) is re-run with the exact fixed budget; re-runs cost
-       at most the budget they are given and only arise on capped
-       searches.  The accepted list — and therefore every reported number
-       and the surviving violation — is a pure function of the task list,
-       independent of [jobs] and of lease scheduling. *)
-    let subs =
-      let budget_left = ref remaining_cap in
-      List.map2
-        (fun task s ->
-          let b = !budget_left in
-          if b <= 0 then zero_capped_sub
-          else if (not s.s_capped) && s.s_histories < b then begin
-            budget_left := b - s.s_histories;
-            s
-          end
-          else if s.s_capped && s.s_histories = b then begin
-            budget_left := 0;
-            s
-          end
-          else begin
-            let s' = run_task ~suffix:"f" (B_fixed b) task in
-            budget_left := b - s'.s_histories;
-            s'
-          end)
-        indexed raw
-    in
-    (* Task spans are emitted *here*, after the parallel map, in task order,
-       from the reconciled per-task stats — never from inside worker
-       domains — so the trace is byte-identical for every [jobs].  The span
-       ticks are synthetic: cumulative states explored, a deterministic
-       stand-in for time. *)
-    (match tracer with
-    | None -> ()
-    | Some tr ->
-      ignore
-        (List.fold_left
-           (fun (i, t_acc) s ->
-             let t_end = t_acc + s.s_states in
-             Obs.Trace.emit tr
-               (Obs.Event.Explore_task
-                  { task = i; t0 = t_acc; t1 = t_end; states = s.s_states;
-                    dedup_hits = s.s_dedup; por_prunes = s.s_por;
-                    histories = s.s_histories; truncated = s.s_truncated;
-                    max_depth = s.s_maxd });
-             (i + 1, t_end))
-           (0, pre_states) subs));
-    let violation =
-      List.find_map (fun s -> s.s_violation) subs (* first in task order *)
-    in
-    let sum f = List.fold_left (fun acc s -> acc + f s) 0 subs in
-    (* Every per-task store removed its own directory; with a budget set,
-       drop the (now empty) base directory too, best-effort. *)
-    if mem_budget <> None then (try Sys.rmdir spill_base with Sys_error _ -> ());
-    finish
-      ~histories:(pre_h + sum (fun s -> s.s_histories))
-      ~truncated:(pre_t + sum (fun s -> s.s_truncated))
-      ~states:(pre_states + sum (fun s -> s.s_states))
-      ~dedup_hits:(sum (fun s -> s.s_dedup))
-      ~por_prunes:(sum (fun s -> s.s_por))
-      ~tasks:k
-      ~max_depth:(List.fold_left (fun acc s -> max acc s.s_maxd) pre_maxd subs)
-      ~orbit_hits:(sum (fun s -> s.s_orbit))
-      ~fp_distinct:(sum (fun s -> s.s_fp_distinct))
-      ~fp_collisions:(sum (fun s -> s.s_fp_collisions))
-      ~fp_resizes:(sum (fun s -> s.s_fp_resizes))
-      ~fp_slots:(sum (fun s -> s.s_fp_slots))
-      ~spill_segments:(sum (fun s -> s.s_spill_segments))
-      ~spill_reloads:(sum (fun s -> s.s_spill_reloads))
-      ~violation
-      ~capped:(List.exists (fun s -> s.s_capped) subs)
+  | Some tr ->
+    let s = result.stats in
+    Obs.Trace.emit tr
+      (Obs.Event.Explore_task
+         { task = 0; t0 = 0; t1 = s.states; states = s.states;
+           dedup_hits = s.dedup_hits; por_prunes = s.por_prunes;
+           histories = result.histories; truncated = result.truncated;
+           max_depth = s.max_depth });
+    Obs.Metrics.observe (Obs.Trace.metrics tr) "explore_wall_seconds"
+      ~labels:[] s.wall_s);
+  result
 
 (* Count interleavings without checking anything (sizing aid).  Dedup and
    POR are off so the count is the literal number of step-level

@@ -5,9 +5,10 @@
     checks a property on each complete history.  Three reductions make
     exhaustive checking scale well past the naive DFS: canonical
     state-fingerprint deduplication, sleep-set partial-order reduction
-    over {!Op.commute}, and a deterministic frontier split across OCaml 5
-    domains.  Verdicts and statistics (wall time aside) are byte-identical
-    for every [jobs] value.
+    over {!Op.commute}, and orbit-canonical symmetry reduction.  Every
+    search is one depth-first pass from the root against a single dedup
+    table, so verdicts and statistics (wall time aside) are a pure
+    function of the inputs.
 
     {b Soundness contract.}  With [dedup]/[por] on (the default), the
     property must be a function of the recorded calls' results and of
@@ -40,22 +41,23 @@ type stats = {
           ~por:false] run *)
   dedup_hits : int;  (** nodes pruned as equivalent to an explored state *)
   por_prunes : int;  (** nodes whose every enabled move was asleep *)
-  tasks : int;  (** independent subtree tasks the frontier split produced *)
+  tasks : int;
+      (** always 1: the search is one depth-first pass (the field is kept
+          for readers of earlier result formats) *)
   max_depth : int;  (** deepest step count reached on any branch *)
   orbit_hits : int;
       (** dedup hits whose canonical key required a non-identity waiter
           relabeling — the pruning attributable to symmetry reduction
           specifically (0 when [symmetry] is empty) *)
   fp_distinct : int;
-      (** distinct dedup keys (orbit representatives) interned, summed
-          over subtree tasks *)
+      (** distinct dedup keys (orbit representatives) interned *)
   fp_collisions : int;
       (** distinct keys that landed on an already-occupied full hash —
           hash-quality diagnostic, never a soundness signal *)
-  fp_resizes : int;  (** intern-table slot doublings, summed over tasks *)
+  fp_resizes : int;  (** intern-table slot doublings *)
   fp_slots : int;
-      (** intern-table slot capacity, summed over tasks; [fp_distinct /.
-          fp_slots] is the aggregate occupancy *)
+      (** intern-table slot capacity; [fp_distinct /. fp_slots] is the
+          occupancy *)
   spill_segments : int;
       (** segment files written by the spill store ([mem_budget] runs
           only; rewrites of reloaded dirty segments included) *)
@@ -64,9 +66,9 @@ type stats = {
           only) *)
   wall_s : float;
       (** elapsed seconds on the monotonic {e wall} clock ({!Obs.Clock},
-          not [Sys.time], which measures CPU time and is distorted by
-          multi-domain runs); the only field that varies with [jobs] and
-          across hosts — keep it out of any byte-comparison or golden
+          not [Sys.time], which measures CPU time); the only field that
+          varies between runs and across hosts — keep it out of any
+          byte-comparison or golden
           fixture.  Traced runs also record it as the
           [explore_wall_seconds] histogram, which {!Obs.Metrics.rows}
           likewise excludes from deterministic output by default. *)
@@ -117,7 +119,6 @@ val check :
   ?commute:(Op.invocation -> Op.invocation -> bool) ->
   ?lean:bool ->
   ?jobs:int ->
-  ?split_depth:int ->
   ?symmetry:Sim.Pid_set.t ->
   ?mem_budget:int ->
   ?spill_dir:string ->
@@ -133,14 +134,11 @@ val check :
     checking it on prefixes is sufficient for safety properties over
     recorded calls (violations persist) and is what makes pruning sound.
 
-    [max_histories] is a deterministic budget: after the first
-    [split_depth] (default 2) levels are expanded into subtree tasks, the
-    remaining budget is shared dynamically — tasks draw chunked leases
-    from one atomic pool, so no task idles on a private slice while a
-    spin-heavy sibling starves — and a reconciliation pass in task order
-    then restores the canonical sequential accounting ("each task may
-    count whatever its predecessors left over"), so the reported counts
-    are independent of [jobs] and of lease scheduling.
+    [max_histories] (default 1,000,000) stops the search immediately
+    after the leaf that reaches it; the result then reports
+    [complete = false].  The search is one depth-first pass from the
+    root, so the stop point, like every other reported number, is a pure
+    function of the inputs.
 
     [lean] (default true) steps the machine in {!Sim.lean_mode}: per-step
     history records and the replayable trace are not accumulated, which
@@ -159,13 +157,14 @@ val check :
     responses (the {!Commute_check} standard).  {!Analysis.Independence}
     computes such relations statically from the algorithm's CFGs; an
     unsound relation silently prunes real interleavings.  Verdicts and all
-    reported counts remain byte-identical across [jobs] for any fixed
-    [commute] — the relation changes {e which} states are pruned, never
-    the determinism of the accounting.
+    reported counts remain deterministic for any fixed [commute] — the
+    relation changes {e which} states are pruned, never the determinism
+    of the accounting.
 
-    [jobs] (default 1) fans the subtree tasks out across domains via
-    {!Parallel.map}; every field of the result except [stats.wall_s] is
-    byte-identical for every value.
+    [jobs] has no effect on the search, which always runs on the calling
+    domain against one dedup table.  It is accepted so existing callers
+    keep compiling; to fan work across domains, run independent
+    configurations through {!Parallel.map}.
 
     [symmetry] (default empty) names interchangeable pids: before a state
     meets the dedup tables, its key — never the live search state — is
@@ -177,33 +176,34 @@ val check :
     {!detect_symmetry} — and the property is invariant under their
     permutation, as Specification 4.1 is.  The verdict ([violation]
     presence, [complete]) is unchanged by a sound [symmetry]; [states],
-    [dedup_hits] and [histories] legitimately shrink.  All reported
-    numbers stay byte-identical across [jobs] for any fixed [symmetry].
+    [dedup_hits] and [histories] legitimately shrink.
 
     [mem_budget] (bytes) switches the dedup tables to byte-encoded keys in
     a segmented, LRU-windowed {!Spill} store: segments beyond the budget
-    page out to files under [spill_dir]/task<i> (default: a
-    "separation-explore-spill" directory under the system temp dir) in
-    segments of [spill_seg_keys] (default 4096) keys, read back on probe
-    misses, and deleted when the task finishes.  The byte encoding is
-    faithful to the structural key equality, so every dedup decision —
+    page out, in segments of [spill_seg_keys] (default 4096) keys, to
+    files in a fresh directory of this search's own under [spill_dir]
+    (default: a "separation-explore-spill" directory under the system
+    temp dir), and are read back on probe misses.  The directory is
+    created with an exclusive [mkdir] under a random name, so concurrent
+    searches may share a [spill_dir]; it is removed on every exit path
+    (verdict, violation, cap or exception), together with [spill_dir]
+    itself if that is then empty.  A directory that cannot be created
+    raises [Failure] naming the path and the cause.  The byte encoding
+    is faithful to the structural key equality, so every dedup decision —
     and hence the verdict and every search counter ([states],
     [dedup_hits], [orbit_hits], [histories], …) — is byte-identical to
     an unbudgeted run; only the intern-table diagnostics
     ([fp_collisions], [fp_resizes], [fp_slots]) change, because they now
     describe the byte-key index, and [spill_segments]/[spill_reloads]
     become meaningful.  Two budgeted runs differing only in the budget
-    agree on everything except those two spill counters.  Directories
-    are derived from the task index, so concurrent [check] calls must
-    use distinct [spill_dir]s.
+    agree on everything except those two spill counters.
 
-    With [tracer], one {!Obs.Event.Explore_task} span per subtree task is
-    emitted after the parallel phase, in task order, with synthetic ticks
-    (cumulative states explored) — so the trace too is byte-identical for
-    every [jobs].  Wall time goes only into the [explore_wall_seconds]
-    metric, recorded from the very [stats.wall_s] value the result
-    carries (one clock read; the two can never disagree), which
-    deterministic renderings exclude. *)
+    With [tracer], one {!Obs.Event.Explore_task} span (task 0) is emitted
+    when the search ends, with synthetic ticks (0 to [states]) — so the
+    trace too is deterministic.  Wall time goes only into the
+    [explore_wall_seconds] metric, recorded from the very [stats.wall_s]
+    value the result carries (one clock read; the two can never
+    disagree), which deterministic renderings exclude. *)
 
 val count :
   ?max_histories:int ->

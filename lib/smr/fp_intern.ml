@@ -20,6 +20,24 @@
    chasing through chain cells — and the load factor is kept under 1/2 so
    probe runs stay short. *)
 
+(* Hash building blocks shared by every fingerprint hash in the explorer
+   pipeline ([Memory]'s per-cell hash, [Explore]'s per-slot hash).
+
+   [mix] is a cheap rolling step for folding a short sequence of fields.
+   It is affine in each argument, so on its own it must never feed an
+   additive combination: sums of affine images depend only on the sums of
+   their fields, and distinct states that merely redistribute a count
+   between two processes or two cells would share a hash.  [avalanche]
+   (a splitmix64-style xorshift-multiply finalizer, with its constants cut
+   to OCaml's 63-bit ints and kept odd) breaks that linearity: apply it to
+   each term before summing. *)
+let mix h x = (((h * 31) + x + 1) * 0x2545F491) land max_int
+
+let avalanche x =
+  let x = (x lxor (x lsr 30)) * 0x3F58476D1CE4E5B9 in
+  let x = (x lxor (x lsr 27)) * 0x14D049BB133111EB in
+  x lxor (x lsr 31)
+
 type 'a t = {
   equal : 'a -> 'a -> bool;
   mutable hashes : int array; (* stored full hash per slot *)

@@ -9,6 +9,15 @@
     collision.  Distinct keys always receive distinct ids, so interning
     never affects soundness, only constant factors. *)
 
+val mix : int -> int -> int
+(** [mix h x] folds one more field [x] into the rolling hash [h].  Affine
+    in each argument: never sum its results directly. *)
+
+val avalanche : int -> int
+(** A nonlinear bijective finalizer (splitmix64-style).  Apply it to each
+    term of an additive hash combination, so that the sum depends on the
+    terms themselves rather than only on per-field totals. *)
+
 type 'a t
 
 val create : ?size:int -> equal:('a -> 'a -> bool) -> unit -> 'a t

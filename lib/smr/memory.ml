@@ -35,22 +35,21 @@ let fresh_cell layout a =
 let fresh_like layout a c =
   Pid_set.is_empty c.links && Op.value_equal c.value (Var.layout_init layout a)
 
-(* Rolling mixer shared by the per-cell hash; mirrors Explore's mixer so
-   hash quality is uniform across the dedup pipeline. *)
-let mix h x = (((h * 31) + x + 1) * 0x2545F491) land max_int
-
 (* Contribution of one cell to the running behavioral hash.  Fresh-like
    cells contribute 0, so a store written back to its initial state hashes
    identically to one never touched.  Contributions combine by integer
    addition (commutative and invertible), which is what makes the hash
-   maintainable as an O(1) delta per [apply]. *)
+   maintainable as an O(1) delta per [apply]; each is passed through
+   [Fp_intern.avalanche] first, so the sum depends on the cells themselves
+   and not only on their per-field totals. *)
 let cell_contrib layout a c =
   if fresh_like layout a c then 0
   else
-    Pid_set.fold
-      (fun p h -> mix h p)
-      c.links
-      (mix (mix 0x531AB597 a) c.value)
+    Fp_intern.avalanche
+      (Pid_set.fold
+         (fun p h -> Fp_intern.mix h p)
+         c.links
+         (Fp_intern.mix (Fp_intern.mix 0x531AB597 a) c.value))
 
 let create layout = { layout; cells = Addr_map.empty; fp_hash = 0 }
 

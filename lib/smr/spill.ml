@@ -20,8 +20,8 @@
    first-seen dense, eviction order is a pure function of the touch order,
    and file names derive from the segment index alone — so two runs of the
    same search produce identical ids, identical spill/reload counters, and
-   byte-identical files.  The store is single-owner (one explorer task);
-   concurrent tasks use disjoint [dir]s. *)
+   byte-identical files.  The store is single-owner (one explorer
+   search); concurrent searches use disjoint [dir]s. *)
 
 type 'c seg = {
   mutable keys : string array; (* [||] while paged out *)

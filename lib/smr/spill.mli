@@ -16,7 +16,7 @@
     Determinism: for a deterministic probe sequence, ids, file bytes and
     the {!spilled}/{!reloads} counters are all pure functions of that
     sequence — no clocks, no randomness.  The store is single-owner;
-    concurrent explorer tasks use disjoint [dir]s. *)
+    concurrent explorer searches use disjoint [dir]s. *)
 
 type 'c t
 (** A store whose per-id payload has type ['c].  The payload must contain

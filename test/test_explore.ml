@@ -177,13 +177,12 @@ let test_multi_signaler_exhaustive () =
 let test_reduction_ratio () =
   (* The reference configuration of the rewrite: dedup + POR must visit at
      least 10x fewer states than the naive enumeration while returning the
-     same verdict.  [split_depth:0] keeps both searches monolithic so the
-     state counts are directly comparable (no per-task private tables). *)
+     same verdict. *)
   let layout, scripts =
     scripts_for (module Cc_flag) ~n:3 ~waiters:[ 1; 2 ] ~polls:2
   in
   let run ~dedup ~por =
-    Explore.check ~dedup ~por ~split_depth:0 ~layout
+    Explore.check ~dedup ~por ~layout
       ~model:(Cost_model.dsm layout) ~n:3 ~scripts ~property:spec_ok ()
   in
   let reduced = run ~dedup:true ~por:true in
@@ -368,19 +367,19 @@ let test_fast_property_agrees () =
 (* --- budget determinism and fingerprint interning --- *)
 
 let test_capped_jobs_deterministic () =
-  (* A budget that stops the search mid-subtree: the shared lease pool is
-     drained first-come-first-served, so reconciliation must restore the
-     canonical accounting — every number identical at every jobs. *)
+  (* A budget that stops the search mid-tree: the stop point is the leaf
+     that reaches the budget, and every number is identical at every
+     jobs. *)
   let layout, scripts =
     scripts_for (module Cc_flag) ~n:4 ~waiters:[ 1; 2; 3 ] ~polls:2
   in
   let run jobs =
-    Explore.check ~max_histories:500 ~jobs ~layout
+    Explore.check ~max_histories:50 ~jobs ~layout
       ~model:(Cost_model.dsm layout) ~n:4 ~scripts ~property:spec_ok ()
   in
   let r1 = run 1 in
   check_false "capped" r1.Explore.complete;
-  check_int "stops exactly at the budget" 500 r1.Explore.histories;
+  check_int "stops exactly at the budget" 50 r1.Explore.histories;
   check_true "jobs=2 identical" (comparable (run 2) = comparable r1);
   check_true "jobs=4 identical" (comparable (run 4) = comparable r1)
 
@@ -579,6 +578,44 @@ let test_symmetry_jobs_deterministic () =
   check_true "jobs=2 identical" (comparable r2 = comparable r1);
   check_true "jobs=4 identical" (comparable r4 = comparable r1)
 
+(* Exact search counts at the two explorer workloads of the repository
+   benchmark.  Every number is a pure function of the scripts (one
+   depth-first pass, one dedup table), so any change to the search order,
+   a reduction or the dedup keys shows up here on any host. *)
+let test_pinned_counts () =
+  let pin name (r : Explore.result) ~histories ~states ~dedup_hits
+      ~orbit_hits ~por_prunes ~max_depth ~fp_distinct =
+    let s = r.Explore.stats in
+    check_true (name ^ ": complete, no violation")
+      (r.Explore.complete && r.Explore.violation = None);
+    check_int (name ^ ": histories") histories r.Explore.histories;
+    check_int (name ^ ": states") states s.Explore.states;
+    check_int (name ^ ": dedup hits") dedup_hits s.Explore.dedup_hits;
+    check_int (name ^ ": orbit hits") orbit_hits s.Explore.orbit_hits;
+    check_int (name ^ ": POR prunes") por_prunes s.Explore.por_prunes;
+    check_int (name ^ ": max depth") max_depth s.Explore.max_depth;
+    check_int (name ^ ": distinct keys") fp_distinct s.Explore.fp_distinct;
+    check_int (name ^ ": one task") 1 s.Explore.tasks;
+    check_true (name ^ ": collisions at most 1% of distinct keys")
+      (100 * s.Explore.fp_collisions <= s.Explore.fp_distinct)
+  in
+  let layout, scripts, symmetry =
+    scripts_sym (module Cc_flag) ~n:5 ~waiters:[ 1; 2; 3; 4 ] ~polls:2
+  in
+  pin "cc-flag N=5, 4 waiters, symmetry"
+    (Explore.check ~symmetry ~layout ~model:(Cost_model.dsm layout) ~n:5
+       ~scripts ~property:spec_ok ())
+    ~histories:246 ~states:35_694 ~dedup_hits:21_260 ~orbit_hits:18_773
+    ~por_prunes:1_935 ~max_depth:18 ~fp_distinct:10_767;
+  let layout, scripts =
+    scripts_for (module Dsm_broadcast) ~n:4 ~waiters:[ 1; 2; 3 ] ~polls:3
+  in
+  pin "dsm-broadcast N=4, 3 waiters, 3 polls"
+    (Explore.check ~layout ~model:(Cost_model.dsm layout) ~n:4 ~scripts
+       ~property:spec_ok ())
+    ~histories:1_387 ~states:434_220 ~dedup_hits:226_562 ~orbit_hits:0
+    ~por_prunes:38_371 ~max_depth:23 ~fp_distinct:161_222
+
 (* --- spill-to-disk dedup storage --- *)
 
 let spill_dir suffix =
@@ -615,11 +652,54 @@ let test_spill_determinism () =
     + mem.Explore.stats.Explore.spill_reloads);
   check_true "spilled search equals the in-memory search"
     (comparable_search tight = comparable_search mem);
-  (* Per-task spill directories keep paging deterministic across jobs —
-     including the spill counters themselves. *)
+  (* Paging is deterministic across jobs — including the spill counters
+     themselves. *)
   let tight2 = run ~jobs:2 ~budget:4096 "tight-j2" in
   check_true "spill counters identical at jobs=2"
     (comparable tight2 = comparable tight)
+
+let test_spill_concurrent_runs () =
+  (* Two budgeted searches on two domains, sharing one spill base: each
+     pages into a directory of its own, so each must reproduce its solo
+     run exactly, and both must clean up after themselves. *)
+  let layout, scripts = scripts_for (module Cc_flag) ~n:3 ~waiters:[ 1; 2 ] ~polls:2 in
+  let dir = spill_dir "shared" in
+  let run () =
+    Explore.check ~mem_budget:4096 ~spill_dir:dir ~spill_seg_keys:16 ~layout
+      ~model:(Cost_model.dsm layout) ~n:3 ~scripts ~property:spec_ok ()
+  in
+  let solo = run () in
+  check_true "the solo run pages" (solo.Explore.stats.Explore.spill_reloads > 0);
+  let d1 = Domain.spawn run and d2 = Domain.spawn run in
+  let r1 = Domain.join d1 and r2 = Domain.join d2 in
+  check_true "first concurrent run equals the solo run"
+    (comparable r1 = comparable solo);
+  check_true "second concurrent run equals the solo run"
+    (comparable r2 = comparable solo);
+  check_false "the shared base is removed once both finish"
+    (Sys.file_exists dir)
+
+let test_spill_dir_errors () =
+  (* A spill base that cannot exist (under a regular file) is a clear
+     error, not an uncaught [Sys_error] from deep inside the search. *)
+  let file = Filename.temp_file "separation-test-spill" ".file" in
+  let layout, scripts = scripts_for (module Cc_flag) ~n:3 ~waiters:[ 1; 2 ] ~polls:2 in
+  let outcome =
+    match
+      Explore.check ~mem_budget:4096 ~spill_dir:(Filename.concat file "sub")
+        ~layout ~model:(Cost_model.dsm layout) ~n:3 ~scripts ~property:spec_ok
+        ()
+    with
+    | _ -> None
+    | exception Failure msg -> Some msg
+  in
+  Sys.remove file;
+  match outcome with
+  | None -> Alcotest.fail "an impossible spill directory was accepted"
+  | Some msg ->
+    check_true ("a clear error: " ^ msg)
+      (String.starts_with ~prefix:"Explore.check: cannot create a spill \
+                                   directory" msg)
 
 let test_spill_store_basics () =
   (* Unit-level: dense first-seen ids survive paging; reloads hand back
@@ -656,11 +736,14 @@ let test_fp_stats_exposed () =
   check_true "a task allocated intern slots" (s.Explore.fp_slots > 0);
   check_true "intern load kept under 1/2"
     (2 * s.Explore.fp_distinct <= s.Explore.fp_slots);
-  (* The commutative sum-hash trades mixing quality for O(1) incremental
-     maintenance; collisions cost a confirming compare, never soundness.
-     Structurally each newly interned key counts at most one. *)
-  check_true "collision count within its structural bound"
-    (s.Explore.fp_collisions < s.Explore.fp_distinct)
+  (* The state hash is a sum of avalanched slot and cell hashes: O(1)
+     incremental maintenance without the per-field-total collisions a sum
+     of affine hashes suffers.  Collisions cost a confirming compare,
+     never soundness, but they should be rare. *)
+  check_true
+    (Printf.sprintf "collisions at most 1%% of distinct keys (%d of %d)"
+       s.Explore.fp_collisions s.Explore.fp_distinct)
+    (100 * s.Explore.fp_collisions <= s.Explore.fp_distinct)
 
 let test_wall_metric_single_source () =
   (* wall_s is computed once: the traced metric must carry the very value
@@ -710,6 +793,10 @@ let suite =
     case "4 waiters under symmetry: identical at every jobs"
       test_symmetry_jobs_deterministic;
     case "spilled search identical to in-memory" test_spill_determinism;
+    case "exact search counts at the benchmark scopes" test_pinned_counts;
+    case "concurrent spilled searches share a base safely"
+      test_spill_concurrent_runs;
+    case "unusable spill directory is a clear error" test_spill_dir_errors;
     case "spill store: ids and payloads survive paging" test_spill_store_basics;
     case "intern-table stats exposed and sane" test_fp_stats_exposed;
     case "wall-clock metric has a single source" test_wall_metric_single_source ]

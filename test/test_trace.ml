@@ -213,10 +213,15 @@ let test_explore_spans () =
       (function Obs.Event.Explore_task _ -> true | _ -> false)
       (Obs.Trace.events tr)
   in
-  check_int "one span per subtree task" r.Explore.stats.Explore.tasks
-    (List.length spans);
-  (* Spans are emitted post-parallel in task order with synthetic ticks,
-     so the stream is identical at any jobs level. *)
+  check_int "one span for the whole search" 1 (List.length spans);
+  check_int "stats report the one task" 1 r.Explore.stats.Explore.tasks;
+  (match spans with
+  | [ Obs.Event.Explore_task e ] ->
+    check_int "the span covers every state" r.Explore.stats.Explore.states
+      e.states
+  | _ -> ());
+  (* The span carries synthetic ticks, and [jobs] has no effect on the
+     search, so the stream is identical at any jobs level. *)
   let tr2 = Obs.Trace.create () in
   let _ = small_explore ~tracer:(Some tr2) ~jobs:2 in
   check_true "explore trace byte-identical across jobs"
