@@ -91,7 +91,7 @@ let run_cmd =
       (fun v -> Fmt.epr "VIOLATION: %a@." Core.Signaling.pp_violation v)
       o.Core.Scenario.violations;
     if json then print_string (Core.Results.to_json table)
-    else Core.Report.print (Core.Results.to_report table);
+    else Core.Results.print table;
     if trace && not json then begin
       Fmt.pr "@.";
       Smr.Timeline.print o.Core.Scenario.sim
@@ -516,7 +516,7 @@ let trace_cmd =
     let events = Obs.Trace.events tr in
     (* Rendering is per-event pure, so an ordered parallel map yields the
        same bytes as List.map. *)
-    let map f evs = Core.Parallel.map ~jobs f evs in
+    let map f evs = Smr.Parallel.map ~jobs f evs in
     print_string
       (match format with
       | `Jsonl -> Obs.Sink_jsonl.to_string ~map events
@@ -524,9 +524,8 @@ let trace_cmd =
       | `Text -> Obs.Sink_text.to_string ~map events);
     if metrics then
       Fmt.epr "%s"
-        (Core.Report.to_string
-           (Core.Results.to_report
-              (Core.Observe.metrics_table (Obs.Trace.metrics tr))))
+        (Core.Results.to_string
+           (Core.Observe.metrics_table (Obs.Trace.metrics tr)))
   in
   Cmd.v
     (Cmd.info "trace"
@@ -584,7 +583,7 @@ let run_tables format jobs reduced list names =
     | `Text ->
       List.iter
         (fun t ->
-          Core.Report.print (Core.Results.to_report t);
+          Core.Results.print t;
           print_newline ())
         tables);
     (* Diagnostics go to stderr so stdout stays identical across runs. *)
@@ -727,9 +726,8 @@ let lint_cmd =
     in
     if timing then
       Fmt.epr "%s"
-        (Core.Report.to_string
-           (Core.Results.to_report
-              (Core.Observe.metrics_table ~timing:true metrics)));
+        (Core.Results.to_string
+           (Core.Observe.metrics_table ~timing:true metrics));
     let commute = Analysis.Commute_check.run () in
     let tables =
       [ Core.Lint_catalog.lint_table reports;
@@ -739,7 +737,7 @@ let lint_cmd =
     else
       List.iter
         (fun t ->
-          Core.Report.print (Core.Results.to_report t);
+          Core.Results.print t;
           print_newline ())
         tables;
     List.iter
@@ -934,7 +932,7 @@ let load_cmd =
         ~arrivals ~crash_prob ~leave_prob ~ways
     in
     let runs =
-      Core.Parallel.map ~jobs:(max 1 jobs)
+      Smr.Parallel.map ~jobs:(max 1 jobs)
         (fun sc ->
           let r, t = Core.Loadgen.timed sc in
           (sc, r, t))
@@ -942,7 +940,7 @@ let load_cmd =
     in
     let table = Core.Loadgen.table (List.map (fun (sc, r, _) -> (sc, r)) runs) in
     if json then print_string (Core.Results.to_json table)
-    else Core.Report.print (Core.Results.to_report table);
+    else Core.Results.print table;
     (* Wall-clock figures: stderr and --perf-out only. *)
     List.iter
       (fun (sc, (r : Workload.Driver.report), (t : Core.Loadgen.timing)) ->
@@ -1099,7 +1097,7 @@ let profile_cmd =
     in
     let indexed = List.mapi (fun i sc -> (i, sc)) scenarios in
     let runs =
-      Core.Parallel.map ~jobs:(max 1 jobs)
+      Smr.Parallel.map ~jobs:(max 1 jobs)
         (fun (i, sc) ->
           let record_cells =
             if i = 0 && chrome_out <> None then Some (max 0 chrome_cap)
@@ -1121,7 +1119,7 @@ let profile_cmd =
     else
       List.iter
         (fun t ->
-          Core.Report.print (Core.Results.to_report t);
+          Core.Results.print t;
           print_newline ())
         tables;
     (match (chrome_out, runs) with
@@ -1235,9 +1233,9 @@ let fuzz_cmd =
         (Core.Results.to_json_many
            [ report.Fuzz.Harness.table; report.Fuzz.Harness.coverage ])
     else begin
-      Core.Report.print (Core.Results.to_report report.Fuzz.Harness.table);
+      Core.Results.print report.Fuzz.Harness.table;
       print_newline ();
-      Core.Report.print (Core.Results.to_report report.Fuzz.Harness.coverage)
+      Core.Results.print report.Fuzz.Harness.coverage
     end;
     (* Findings go to stderr so --json stdout stays a pure document. *)
     List.iter

@@ -60,7 +60,7 @@ let table ?(jobs = 1) ?(ns = default_ns) ?(entries = default_entries) () =
       Results.
         [ param "algorithm"; param "N"; measure "CC RMR/passage";
           measure "DSM RMR/passage"; measure "max conc"; measure "safe" ]
-    (Parallel.map ~jobs (row ~entries) points)
+    (Smr.Parallel.map ~jobs (row ~entries) points)
 
 let shape = function
   | [ t ] -> Experiment_def.shape_all t "safe" (( = ) (Results.Bool true))

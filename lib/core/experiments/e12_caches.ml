@@ -48,7 +48,7 @@ let run_capacity ~n capacity =
 let table ?(jobs = 1) ?(n = default_n) ?(capacities = default_capacities) () =
   let ideal = run_capacity ~n None in
   let finite =
-    Parallel.map ~jobs (fun c -> (c, run_capacity ~n (Some c))) capacities
+    Smr.Parallel.map ~jobs (fun c -> (c, run_capacity ~n (Some c))) capacities
   in
   let rows =
     List.map

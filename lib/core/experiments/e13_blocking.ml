@@ -47,7 +47,7 @@ let table ?(jobs = 1) ?(n = default_n) ?(seed = default_seed) () =
         [ param "algorithm"; param "model"; measure "waiter max";
           measure "signaler"; measure "total"; measure "unfinished";
           measure "violations" ]
-    (Parallel.map ~jobs (row ~n ~seed) points)
+    (Smr.Parallel.map ~jobs (row ~n ~seed) points)
 
 let shape = function
   | [ t ] ->

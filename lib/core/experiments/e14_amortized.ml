@@ -86,7 +86,7 @@ let table ?(jobs = 1) ?(ks = default_ks) () =
           measure "signals"; measure "signaler_rmrs"; measure "rmr/signal";
           measure "rmr/op"; measure "poll_rmr_mean"; measure "spec_ok";
           measure "bytes/proc" ]
-    (Parallel.map ~jobs row cells)
+    (Smr.Parallel.map ~jobs row cells)
 
 let shape = function
   | [ t ] -> (

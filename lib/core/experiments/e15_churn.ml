@@ -86,7 +86,7 @@ let table ?(jobs = 1) ?(k = default_k) () =
           measure "crashes"; measure "left_early"; measure "polls";
           measure "signals"; measure "rmr/signal"; measure "rmr/op";
           measure "spec_ok" ]
-    (Parallel.map ~jobs (row ~k) cells)
+    (Smr.Parallel.map ~jobs (row ~k) cells)
 
 let shape = function
   | [ t ] ->

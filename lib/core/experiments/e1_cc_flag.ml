@@ -29,7 +29,7 @@ let table ?(jobs = 1) ?(ns = default_ns) () =
       Results.
         [ param "N"; measure "waiter max"; measure "signaler"; measure "total";
           measure "amortized"; measure "violations" ]
-    (Parallel.map ~jobs row ns)
+    (Smr.Parallel.map ~jobs row ns)
 
 let shape = function
   | [ t ] ->

@@ -46,7 +46,7 @@ let table ?(jobs = 1) ?(ns = default_ns) () =
         [ param "algorithm"; param "N"; measure "stable";
           measure "signaler RMRs"; measure "blocked"; measure "parts";
           measure "amortized"; measure "regular"; measure "spec ok" ]
-    (Parallel.map ~jobs row points)
+    (Smr.Parallel.map ~jobs row points)
 
 let amortized_of t name =
   List.filter_map

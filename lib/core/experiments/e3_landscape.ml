@@ -44,7 +44,7 @@ let row ~n ~active_count (module A : Signaling.POLLING) =
     Results.(text A.name :: text why :: List.init 6 (fun _ -> text "-"))
 
 let landscape ~jobs ~n ~active_count =
-  Parallel.map ~jobs (row ~n ~active_count) Algorithms.polling_algorithms
+  Smr.Parallel.map ~jobs (row ~n ~active_count) Algorithms.polling_algorithms
 
 let tables ?(jobs = 1) ?(n = default_n) ?(partial = default_partial) () =
   let params = [ ("n", Results.int n); ("partial", Results.int partial) ] in

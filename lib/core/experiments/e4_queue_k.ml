@@ -37,7 +37,7 @@ let table ?(jobs = 1) ?(n = default_n) ?(ks = default_ks) () =
       Results.
         [ param "k"; measure "signaler"; measure "total"; measure "parts";
           measure "amortized" ]
-    (Parallel.map ~jobs (row ~n) ks)
+    (Smr.Parallel.map ~jobs (row ~n) ks)
 
 let shape = function
   | [ t ] ->

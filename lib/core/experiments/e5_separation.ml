@@ -37,7 +37,7 @@ let table ?(jobs = 1) ?(n = default_n) () =
     ~columns:
       (Results.param "algorithm"
       :: List.map (fun m -> Results.measure (Scenario.model_tag_name m)) models)
-    (Parallel.map ~jobs (row ~n) Algorithms.polling_algorithms)
+    (Smr.Parallel.map ~jobs (row ~n) Algorithms.polling_algorithms)
 
 let parse cell =
   try Scanf.sscanf cell "%d / %f" (fun w a -> Some (w, a)) with _ -> None

@@ -42,7 +42,7 @@ let table ?(jobs = 1) ?(ns = default_ns) () =
       Results.
         [ param "N"; param "interconnect"; measure "RMRs"; measure "messages";
           measure "msgs/RMR" ]
-    (Parallel.map ~jobs row points)
+    (Smr.Parallel.map ~jobs row points)
 
 let messages_for t ~interconnect =
   List.filter_map

@@ -58,7 +58,7 @@ let table ?(jobs = 1) ?(ns = default_ns) ?(entries = default_entries) () =
       Results.
         [ param "lock"; param "N"; measure "CC RMR/passage";
           measure "DSM RMR/passage"; measure "mutex held" ]
-    (Parallel.map ~jobs (row ~entries) points)
+    (Smr.Parallel.map ~jobs (row ~entries) points)
 
 let shape = function
   | [ t ] ->

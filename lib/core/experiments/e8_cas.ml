@@ -115,7 +115,7 @@ let tables ?(jobs = 1) ?(n = default_n) ?(ks = default_ks) () =
           [ param "k"; measure "CAS total"; measure "CAS/waiter";
             measure "LL/SC total"; measure "LL/SC/waiter"; measure "F&I total";
             measure "F&I/waiter" ]
-      (Parallel.map ~jobs (contention_row ~n) ks);
+      (Smr.Parallel.map ~jobs (contention_row ~n) ks);
     Results.make ~experiment:"e8" ~part:"b"
       ~title:
         "E8b (Cor. 6.14): the reductions — zero comparison-primitive steps \

@@ -19,7 +19,7 @@ type spec = {
       (** what the expected-shape predicate checks, for docs and [--list] *)
   run : jobs:int -> size -> Results.table list;
       (** Deterministic; [jobs] bounds point-level fan-out (see
-          {!Parallel.map}), and never affects the produced tables. *)
+          {!Smr.Parallel.map}), and never affects the produced tables. *)
   shape : Results.table list -> (unit, string) result;
       (** Expected-shape predicate over [run]'s output (E1 flat in N, E2
           growing, E5 separation, ...): [Error] describes the violated

@@ -1,6 +1,6 @@
 (* Typed experiment results.
 
-   The experiments build these tables; Report/CSV/JSON are pure views.
+   The experiments build these tables; text/CSV/JSON are pure views.
    JSON emission is hand-rolled (the dependency footprint stays fmt-only)
    and deliberately boring: fixed key order, fixed float rendering, so the
    output is stable byte-for-byte across runs and across --jobs levels. *)
@@ -83,12 +83,46 @@ let to_text = render_value
 
 (* --- renderers --- *)
 
-let to_report t =
-  Report.make ~title:t.title
-    ~header:(List.map (fun c -> c.name) t.columns)
-    (List.map (List.map render_value) t.rows)
+(* Aligned text: every cell, the last included, is padded to its column's
+   width, under a dashed rule. *)
+let pp ppf t =
+  let header = List.map (fun c -> c.name) t.columns in
+  let rows = List.map (List.map render_value) t.rows in
+  let w = Array.make (List.length header) 0 in
+  List.iter
+    (List.iteri (fun i c -> w.(i) <- max w.(i) (String.length c)))
+    (header :: rows);
+  let line cells =
+    let padded =
+      List.mapi
+        (fun i c -> c ^ String.make (w.(i) - String.length c) ' ')
+        cells
+    in
+    Fmt.pf ppf "  %s@." (String.concat "  " padded)
+  in
+  Fmt.pf ppf "%s@." t.title;
+  line header;
+  line (List.map (fun width -> String.make width '-') (Array.to_list w));
+  List.iter line rows
 
-let to_csv t = Report.to_csv (to_report t)
+let print t = pp Fmt.stdout t
+
+let to_string t = Fmt.str "%a" pp t
+
+(* RFC-4180 CSV: quote cells containing separators, quotes or line breaks
+   (both LF and CR — bare CR is a record separator to some readers). *)
+let csv_cell c =
+  if String.exists (fun ch -> ch = ',' || ch = '"' || ch = '\n' || ch = '\r') c
+  then
+    "\"" ^ String.concat "\"\"" (String.split_on_char '"' c) ^ "\""
+  else c
+
+let to_csv t =
+  let line cells = String.concat "," (List.map csv_cell cells) in
+  String.concat "\n"
+    (line (List.map (fun c -> c.name) t.columns)
+    :: List.map (fun row -> line (List.map render_value row)) t.rows)
+  ^ "\n"
 
 (* JSON: escape the mandatory characters, pass UTF-8 through. *)
 let json_escape s =

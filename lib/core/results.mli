@@ -3,9 +3,8 @@
     Every experiment produces one or more {!table}s: a grid of typed
     {!value}s under named columns, tagged with the experiment id, the paper
     claim it regenerates, and the table-level parameter bindings of the run
-    (N, k, model, ...).  Renderers turn a table into the aligned text of
-    {!Report}, RFC-4180 CSV, or a stable JSON document; {!Report.t} is a
-    pure view computed by {!to_report}. *)
+    (N, k, model, ...).  Renderers turn a table into aligned text,
+    RFC-4180 CSV, or a stable JSON document. *)
 
 type value =
   | Int of int
@@ -48,13 +47,13 @@ val measure : string -> column
 
 val int : int -> value
 val float : ?digits:int -> float -> value
-(** [digits] defaults to 2, matching {!Report.float}. *)
+(** [digits] defaults to 2. *)
 
 val bool : bool -> value
 val text : string -> value
 
 val render_value : value -> string
-(** The text/CSV cell for a value (what {!to_report} puts in the grid). *)
+(** The text/CSV cell for a value. *)
 
 (** {1 Typed access (for expected-shape predicates)} *)
 
@@ -77,9 +76,15 @@ val to_text : value -> string
 
 (** {1 Renderers} *)
 
-val to_report : table -> Report.t
-(** The aligned-text view; [Report.t] carries no information beyond what
-    the table holds. *)
+val pp : table Fmt.t
+(** The title line, then the header, a dashed rule and the rows, each cell
+    padded to its column's width. *)
+
+val print : table -> unit
+(** {!pp} on stdout. *)
+
+val to_string : table -> string
+(** {!pp} into a string. *)
 
 val to_csv : table -> string
 (** Header + rows (no title), RFC-4180 quoting. *)

@@ -6,15 +6,16 @@ type outcome = {
   shape : (unit, string) result option;
 }
 
-let default_jobs = Parallel.default_jobs
+let default_jobs = Smr.Parallel.default_jobs
 
 let run ?jobs ?tracer ?(size = Experiment_def.Default) specs =
   let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
   let outcomes =
-    Parallel.map ~jobs
+    Smr.Parallel.map ~jobs
       (fun (spec : Experiment_def.spec) ->
         (* Point-level fan-out inside spec.run degrades to sequential when
-           this map already runs it on a worker domain (see Parallel.map). *)
+           this map already runs it on a worker domain (see
+           Smr.Parallel.map). *)
         let tables = spec.run ~jobs size in
         let shape =
           match size with

@@ -17,23 +17,36 @@ let map ~jobs f xs =
     let input = Array.of_list xs in
     let out = Array.make n None in
     let next = Atomic.make 0 in
+    (* The lowest failing index and its exception.  Workers stop claiming
+       once a failure is recorded, but a claimed index always runs, and
+       indices are claimed in increasing order: every index below a
+       recorded failure has run, so the lowest one is the failure
+       [List.map] would raise. *)
     let failure = Atomic.make None in
+    let rec record i e =
+      match Atomic.get failure with
+      | Some (j, _) when j < i -> ()
+      | seen ->
+        if not (Atomic.compare_and_set failure seen (Some (i, e))) then
+          record i e
+    in
     let worker () =
       let rec loop () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n && Atomic.get failure = None then begin
-          (match f input.(i) with
-          | y -> out.(i) <- Some y
-          | exception e ->
-            ignore (Atomic.compare_and_set failure None (Some e)));
-          loop ()
+        if Atomic.get failure = None then begin
+          let i = Atomic.fetch_and_add next 1 in
+          if i < n then begin
+            (match f input.(i) with
+            | y -> out.(i) <- Some y
+            | exception e -> record i e);
+            loop ()
+          end
         end
       in
       loop ()
     in
     let domains = List.init jobs (fun _ -> Domain.spawn worker) in
     List.iter Domain.join domains;
-    (match Atomic.get failure with Some e -> raise e | None -> ());
+    (match Atomic.get failure with Some (_, e) -> raise e | None -> ());
     Array.to_list
       (Array.map
          (function Some y -> y | None -> assert false (* failure was raised *))

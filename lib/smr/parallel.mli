@@ -11,5 +11,7 @@ val default_jobs : unit -> int
 val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f xs] is [List.map f xs] computed on up to [jobs] domains.
     [jobs <= 1], short lists, and calls from inside a worker domain (nested
-    fan-out) degrade to sequential [List.map].  The first exception raised
-    by any [f x] is re-raised after all workers join. *)
+    fan-out) degrade to sequential [List.map].  If any [f x] raises, the
+    exception re-raised after all workers join is the one [List.map] would
+    raise: that of the lowest-index failing element, independent of
+    scheduling. *)

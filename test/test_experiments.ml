@@ -6,7 +6,7 @@ open Core
 
 let test_e1_flat () =
   let t = Experiment.e1 ~ns:[ 2; 64 ] () in
-  ignore (Report.to_string t);
+  ignore (Results.to_string t);
   (* Shape is asserted directly against the scenario here. *)
   let per n =
     let cfg = Experiment.config_for (module Cc_flag) ~n in
@@ -16,7 +16,7 @@ let test_e1_flat () =
   check_int "waiter cost independent of N" (per 2) (per 128)
 
 let test_e2_separation () =
-  ignore (Report.to_string (Experiment.e2 ~ns:[ 8; 16 ] ()));
+  ignore (Results.to_string (Experiment.e2 ~ns:[ 8; 16 ] ()));
   let am n = (Adversary.run (module Dsm_broadcast) ~n ()).Adversary.amortized in
   let aq n = (Adversary.run (module Dsm_queue) ~n ()).Adversary.amortized in
   check_true "read/write amortized grows" (am 32 > am 8 +. 10.);
@@ -25,19 +25,19 @@ let test_e2_separation () =
 let test_e3_builds () =
   match Experiment.e3 ~n:16 ~partial:4 () with
   | [ full; partial ] ->
-    check_true "full table renders" (String.length (Report.to_string full) > 0);
+    check_true "full table renders" (String.length (Results.to_string full) > 0);
     check_true "partial table renders"
-      (String.length (Report.to_string partial) > 0)
+      (String.length (Results.to_string partial) > 0)
   | _ -> Alcotest.fail "expected two tables"
 
 let test_e4_flat () =
-  ignore (Report.to_string (Experiment.e4 ~n:32 ~ks:[ 1; 8; 31 ] ()))
+  ignore (Results.to_string (Experiment.e4 ~n:32 ~ks:[ 1; 8; 31 ] ()))
 
 let test_e5_builds () =
-  ignore (Report.to_string (Experiment.e5 ~n:16 ()))
+  ignore (Results.to_string (Experiment.e5 ~n:16 ()))
 
 let test_e6_exchange_rate () =
-  ignore (Report.to_string (Experiment.e6 ~ns:[ 8 ] ()));
+  ignore (Results.to_string (Experiment.e6 ~ns:[ 8 ] ()));
   (* Directory messages exceed bus messages for the same run. *)
   let messages ic =
     let cfg = Experiment.config_for (module Cc_flag) ~n:32 in
@@ -50,13 +50,13 @@ let test_e6_exchange_rate () =
     (messages Smr.Cc.Directory_precise > messages Smr.Cc.Bus)
 
 let test_e7_builds () =
-  ignore (Report.to_string (Experiment.e7 ~ns:[ 2; 4 ] ~entries:2 ()))
+  ignore (Results.to_string (Experiment.e7 ~ns:[ 2; 4 ] ~entries:2 ()))
 
 let test_e8_contention_shape () =
   (match Experiment.e8 ~n:64 ~ks:[ 2; 16 ] () with
   | [ a; b ] ->
-    ignore (Report.to_string a);
-    ignore (Report.to_string b)
+    ignore (Results.to_string a);
+    ignore (Results.to_string b)
   | _ -> Alcotest.fail "expected two tables");
   let cas k = Experiment.contention_total (module Cas_register) ~n:64 ~k in
   let fai k = Experiment.contention_total (module Dsm_queue) ~n:64 ~k in
@@ -66,7 +66,7 @@ let test_e8_contention_shape () =
   check_int "fai per-waiter flat" (fai 4 / 4) (fai 32 / 32)
 
 let test_e9_builds () =
-  ignore (Report.to_string (Experiment.e9 ~n:16 ()))
+  ignore (Results.to_string (Experiment.e9 ~n:16 ()))
 
 let test_find_algorithm () =
   check_true "lookup by name"
@@ -79,7 +79,7 @@ let test_e1_golden () =
   (* The experiment tables are fully deterministic: pin E1's text at small
      sizes as a regression net over the whole stack (layout, scheduler,
      cost model, accounting, rendering). *)
-  let got = Report.to_string (Experiment.e1 ~ns:[ 2; 4 ] ()) in
+  let got = Results.to_string (Experiment.e1 ~ns:[ 2; 4 ] ()) in
   let expected =
     "E1 (Sec. 5): cc-flag under CC write-through — per-process RMRs must \
      stay O(1) as N grows\n\
@@ -177,24 +177,25 @@ let test_e4_golden_json () =
 
 let test_report_csv () =
   let t =
-    Report.make ~title:"t" ~header:[ "a"; "b" ]
-      [ [ "1"; "x,y" ]; [ "2"; "say \"hi\"" ] ]
+    Results.make ~experiment:"ex" ~title:"t" ~claim:"c"
+      ~columns:Results.[ param "a"; measure "b" ]
+      Results.[ [ int 1; text "x,y" ]; [ int 2; text "say \"hi\"" ] ]
   in
-  let csv = Report.to_csv t in
+  let csv = Results.to_csv t in
   check_true "header line" (String.length csv > 0);
   check_true "separator quoting"
     (csv = "a,b\n1,\"x,y\"\n2,\"say \"\"hi\"\"\"\n")
 
 let test_report_rendering () =
   let t =
-    Report.make ~title:"t" ~header:[ "a"; "bb" ]
-      [ [ "1"; "2" ]; [ "333"; Report.float 1.5 ] ]
+    Results.make ~experiment:"ex" ~title:"t" ~claim:"c"
+      ~columns:Results.[ param "a"; measure "bb" ]
+      Results.[ [ int 1; int 2 ]; [ int 333; float 1.5 ] ]
   in
-  let s = Report.to_string t in
-  check_true "title present" (String.length s > 0);
-  (* Columns are aligned: every data line has the same prefix width. *)
-  let lines = String.split_on_char '\n' s in
-  check_true "several lines" (List.length lines >= 4)
+  (* Every cell, the last included, is padded to its column's width. *)
+  Alcotest.(check string) "aligned text"
+    "t\n  a    bb  \n  ---  ----\n  1    2   \n  333  1.50\n"
+    (Results.to_string t)
 
 let suite =
   [ case "E1 is flat in N" test_e1_flat;

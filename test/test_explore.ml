@@ -579,9 +579,10 @@ let test_symmetry_jobs_deterministic () =
   check_true "jobs=4 identical" (comparable r4 = comparable r1)
 
 (* Exact search counts at the two explorer workloads of the repository
-   benchmark.  Every number is a pure function of the scripts (one
-   depth-first pass, one dedup table), so any change to the search order,
-   a reduction or the dedup keys shows up here on any host. *)
+   benchmark, and at the first without symmetry reduction.  Every number
+   is a pure function of the scripts (one depth-first pass, one dedup
+   table), so any change to the search order, a reduction or the dedup
+   keys shows up here on any host. *)
 let test_pinned_counts () =
   let pin name (r : Explore.result) ~histories ~states ~dedup_hits
       ~orbit_hits ~por_prunes ~max_depth ~fp_distinct =
@@ -602,11 +603,20 @@ let test_pinned_counts () =
   let layout, scripts, symmetry =
     scripts_sym (module Cc_flag) ~n:5 ~waiters:[ 1; 2; 3; 4 ] ~polls:2
   in
-  pin "cc-flag N=5, 4 waiters, symmetry"
-    (Explore.check ~symmetry ~layout ~model:(Cost_model.dsm layout) ~n:5
-       ~scripts ~property:spec_ok ())
+  let check_sym symmetry =
+    Explore.check ~symmetry ~layout ~model:(Cost_model.dsm layout) ~n:5
+      ~scripts ~property:spec_ok ()
+  in
+  let sym = check_sym symmetry and nosym = check_sym Sim.Pid_set.empty in
+  pin "cc-flag N=5, 4 waiters, symmetry" sym
     ~histories:246 ~states:35_694 ~dedup_hits:21_260 ~orbit_hits:18_773
     ~por_prunes:1_935 ~max_depth:18 ~fp_distinct:10_767;
+  pin "cc-flag N=5, 4 waiters, no symmetry" nosym
+    ~histories:1_887 ~states:520_070 ~dedup_hits:311_601 ~orbit_hits:0
+    ~por_prunes:30_082 ~max_depth:18 ~fp_distinct:170_680;
+  check_true "symmetry shrinks the 4-waiter search at least 10x"
+    (10 * sym.Explore.stats.Explore.states
+    <= nosym.Explore.stats.Explore.states);
   let layout, scripts =
     scripts_for (module Dsm_broadcast) ~n:4 ~waiters:[ 1; 2; 3 ] ~polls:3
   in

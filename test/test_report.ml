@@ -1,16 +1,21 @@
-(* Rendering-layer tests: Report CSV quoting (RFC 4180) and the typed
-   Results layer (construction, accessors, CSV/JSON renderers). *)
+(* Rendering-layer tests: CSV quoting (RFC 4180) and the typed Results
+   layer (construction, accessors, CSV/JSON renderers). *)
 
 open Test_util
 open Core
 
-(* --- Report CSV quoting --- *)
+(* --- CSV quoting --- *)
 
 let csv_of_cell c =
   (* Render a one-cell table and strip the header line and the trailing
      newline, leaving exactly the quoted cell (which may itself contain
      newlines, so no line splitting here). *)
-  let csv = Report.to_csv (Report.make ~title:"t" ~header:[ "h" ] [ [ c ] ]) in
+  let csv =
+    Results.to_csv
+      (Results.make ~experiment:"ex" ~title:"t" ~claim:"c"
+         ~columns:[ Results.param "h" ]
+         [ [ Results.text c ] ])
+  in
   let prefix = "h\n" in
   if
     String.length csv >= String.length prefix + 1

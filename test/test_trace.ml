@@ -66,7 +66,7 @@ let test_tracing_does_not_perturb () =
 let test_render_jobs_deterministic () =
   let tr, _ = traced ~model:`Cc_wt "cc-flag" in
   let evs = Obs.Trace.events tr in
-  let pmap f xs = Core.Parallel.map ~jobs:2 f xs in
+  let pmap f xs = Parallel.map ~jobs:2 f xs in
   Alcotest.(check string) "jsonl identical under parallel map"
     (Obs.Sink_jsonl.to_string evs)
     (Obs.Sink_jsonl.to_string ~map:pmap evs);
@@ -76,6 +76,40 @@ let test_render_jobs_deterministic () =
   Alcotest.(check string) "text identical under parallel map"
     (Obs.Sink_text.to_string evs)
     (Obs.Sink_text.to_string ~map:pmap evs)
+
+(* A parallel map must fail as [List.map] does, so that the stderr of a
+   parallel run does not depend on scheduling.  Element 3 waits (bounded)
+   until element 7 has raised, then lingers before raising itself: a map
+   that re-raised whichever failure was recorded first would report 7. *)
+let test_parallel_map_lowest_failure () =
+  let seven_raised = Atomic.make false in
+  let wait_until cond ~timeout_s =
+    let t0 = Obs.Clock.now_s () in
+    while (not (cond ())) && Obs.Clock.elapsed_s ~since:t0 < timeout_s do
+      Domain.cpu_relax ()
+    done
+  in
+  let f ~patience_s i =
+    if i = 3 then begin
+      wait_until (fun () -> Atomic.get seven_raised) ~timeout_s:patience_s;
+      wait_until (fun () -> false) ~timeout_s:0.05;
+      failwith "3"
+    end;
+    if i = 7 then begin
+      Atomic.set seven_raised true;
+      failwith "7"
+    end;
+    i
+  in
+  let xs = List.init 10 Fun.id in
+  let raised map =
+    match map xs with _ -> None | exception Failure m -> Some m
+  in
+  (* Sequentially, 3 runs before 7: waiting for 7 would only time out. *)
+  check_true "List.map raises 3"
+    (raised (List.map (f ~patience_s:0.0)) = Some "3");
+  Alcotest.(check (option string)) "Parallel.map raises 3" (Some "3")
+    (raised (Parallel.map ~jobs:2 (f ~patience_s:5.0)))
 
 (* --- golden: the JSONL stream is pinned byte-for-byte --- *)
 
@@ -268,6 +302,8 @@ let suite =
     case "tracing does not perturb the run" test_tracing_does_not_perturb;
     case "sink rendering independent of parallel map"
       test_render_jobs_deterministic;
+    case "parallel map re-raises the lowest-index failure"
+      test_parallel_map_lowest_failure;
     case "jsonl golden fixture" test_jsonl_golden;
     case "chrome sink edge-case goldens" test_chrome_edge_goldens;
     case "cc models emit cache events, dsm none" test_cc_emits_cache_events;

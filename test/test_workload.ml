@@ -157,19 +157,37 @@ let test_driver_spec_verdict_detects_violations () =
 let test_driver_allocation_bounded () =
   (* Steady state allocates a bounded constant per step (the free-monad
      interpretation's closures), independent of k: the engine itself —
-     cells, caches, accounting — is flat arrays and allocates nothing. *)
-  let words_per_step k =
-    let sc = scenario ~algorithm:"dsm-broadcast" ~model:`Dsm ~k () in
-    ignore (Core.Loadgen.run sc) (* warm-up excluded from the window *);
+     cells, caches, accounting — is flat arrays and allocates nothing,
+     and arming the counter planes adds nothing per step either. *)
+  let words_per_step ?(counters = false) ~algorithm ~model k =
+    let sc = scenario ~algorithm ~model ~k () in
+    let counters =
+      if counters then begin
+        let _, layout, n = Core.Loadgen.prepare sc in
+        Some
+          (Obs.Counters.create ~n ~size:(Smr.Var.layout_size layout) ())
+      end
+      else None
+    in
+    ignore (Core.Loadgen.run ?counters sc) (* warm-up excluded from the window *);
     let w0 = Gc.minor_words () in
-    let r = Core.Loadgen.run sc in
+    let r = Core.Loadgen.run ?counters sc in
     (Gc.minor_words () -. w0) /. float_of_int r.Driver.r_steps
   in
-  let small = words_per_step 500 and large = words_per_step 4000 in
+  let dsm = words_per_step ~algorithm:"dsm-broadcast" ~model:`Dsm in
+  let small = dsm 500 and large = dsm 4000 in
   check_true (small < 256.0);
   check_true (large < 256.0);
   (* constant, not growing with k: allow generous jitter for GC noise *)
-  check_true (large < small *. 2.0 +. 16.0)
+  check_true (large < small *. 2.0 +. 16.0);
+  let cc ~counters =
+    words_per_step ~counters ~algorithm:"cc-flag" ~model:`Cc_wt 4000
+  in
+  let off = cc ~counters:false and armed = cc ~counters:true in
+  let within name ok = Alcotest.(check bool) name true ok in
+  within "cc-flag, counters off: < 256 words/step" (off < 256.0);
+  within "cc-flag, counters armed: < 256 words/step" (armed < 256.0);
+  within "arming counters adds <= 1 word/step" (armed <= off +. 1.0)
 
 let test_timeline_sampled () =
   (* Rendering a history bigger than the caps degrades to a sample with an
