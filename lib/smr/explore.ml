@@ -129,10 +129,9 @@ type move =
    counts of every scripted process at the call's start (they determine
    how interval-order properties will judge the call once it completes). *)
 type call_meta = {
-  program : Op.value Program.t;
-      (* the call's remaining program, advanced in lockstep with the
-         machine — it yields the pending invocation and the continuation
-         without querying the machine at every node *)
+  pending : Op.invocation;
+      (* the operation the machine holds next for this call, read off the
+         machine's program when the call begins or advances *)
   label : string;
   label_h : int; (* [Hashtbl.hash label], computed once at the begin *)
   seq : int; (* the call's per-process ordinal *)
@@ -168,16 +167,12 @@ let meta0 n = Array.make n (P_idle (0, None))
 
 (* Enabled moves in script order: advance if mid-call, else begin whatever
    the script asks for next.  A process whose script answers [None] is
-   done.  Running processes never touch the machine here — the pending
-   invocation comes straight from the tracked program. *)
+   done.  Running processes never touch the machine here. *)
 let moves scripts (meta : pmeta array) sim =
   List.filter_map
     (fun ((p : Op.pid), (script : script)) ->
       match meta.(p) with
-      | P_running m -> (
-        match Program.next_invocation m.program with
-        | Some inv -> Some (p, M_advance inv)
-        | None -> assert false (* running implies a pending operation *))
+      | P_running m -> Some (p, M_advance m.pending)
       | P_idle _ -> (
         match script sim p with
         | None -> None
@@ -193,9 +188,9 @@ let moves scripts (meta : pmeta array) sim =
    a key is free and fingerprinting a state allocates one record,
    independent of how many cells the store holds or how deep the history
    is.  Equality and hashing read only the fingerprint-relevant fields:
-   [program] is excluded by construction (for a deterministic program it
-   is a function of the call's label and responses), [begun] because for a
-   running call it always equals [seq + 1]. *)
+   [pending] is excluded (for a deterministic program it is a function of
+   the call's label and responses), [begun] because for a running call it
+   always equals [seq + 1]. *)
 type fp = { fp_mem : Memory.t; fp_meta : pmeta array }
 
 (* Exact state identity, consulted only when two states share a hash.  The
@@ -520,7 +515,7 @@ let detect_symmetry ?(fuel = 4096) ~values candidates =
    equal bytes iff equal fingerprints.  The metadata section comes first —
    every variable-length field is length-prefixed, so it is uniquely
    parseable and the memory section that follows cannot alias into it.
-   Only [fp_equal]'s fields are encoded (no [program], no [begun], no
+   Only [fp_equal]'s fields are encoded (no [pending], no [begun], no
    derived hashes). *)
 let add_i64 buf (v : int) = Buffer.add_int64_le buf (Int64.of_int v)
 
@@ -564,9 +559,9 @@ let antichain_bytes (l : Pid_set.t list) =
 (* Execute one move, maintaining the per-process metadata in lockstep with
    the machine.  Returns the new machine, the new metadata, and whether
    the move completed a call (the only transitions on which the property
-   verdict can change).  Completion and results are derived from the
-   tracked program — the same physical closure the machine is running —
-   so no machine state is queried back except the step's response. *)
+   verdict can change).  The machine runs the step's continuation exactly
+   once; completion, result, response and the next pending operation are
+   read back from it. *)
 let set (meta : pmeta array) p pm =
   let meta' = Array.copy meta in
   meta'.(p) <- pm;
@@ -598,10 +593,10 @@ let apply_move sim (meta : pmeta array) (counts : int array) mh p = function
       (* zero-step call: completed on the spot *)
       let pm = P_idle (begun + 1, Some v) in
       (sim', set meta p pm, bump counts p, mh_swap mh meta p pm, true)
-    | Program.Step _ ->
+    | Program.Step (pending, _) ->
       let pm =
         P_running
-          { program;
+          { pending;
             label;
             label_h = Hashtbl.hash label;
             seq = begun;
@@ -618,29 +613,27 @@ let apply_move sim (meta : pmeta array) (counts : int array) mh p = function
       | P_running m -> m
       | P_idle _ -> assert false
     in
-    let k =
-      match m.program with
-      | Program.Step (_, k) -> k
-      | Program.Return _ -> assert false
-    in
     let sim' = Sim.advance sim p in
-    let resp =
-      match Sim.last_response sim' with Some v -> v | None -> assert false
-    in
-    match k resp with
-    | Program.Return v ->
-      let pm = P_idle (m.begun, Some v) in
+    match Sim.proc_state sim' p with
+    | Sim.Idle ->
+      let pm = P_idle (m.begun, Sim.last_result sim' p) in
       (sim', set meta p pm, bump counts p, mh_swap mh meta p pm, true)
-    | Program.Step _ as program ->
+    | Sim.Running { program = Program.Step (pending, _); _ } ->
+      let resp =
+        match Sim.last_response sim' with Some v -> v | None -> assert false
+      in
       let pm =
         P_running
           { m with
-            program;
+            pending;
             resps_rev = resp :: m.resps_rev;
             resps_len = m.resps_len + 1;
             resps_h = mix m.resps_h resp }
       in
-      (sim', set meta p pm, counts, mh_swap mh meta p pm, false))
+      (sim', set meta p pm, counts, mh_swap mh meta p pm, false)
+    | Sim.Running { program = Program.Return _; _ } | Sim.Terminated ->
+      assert false (* a running call has a pending operation; the explorer
+                      never terminates a process *))
 
 (* Sleep set for the child reached by executing [p]'s move [mv]: of the
    processes asleep here or already explored as older siblings, keep those
@@ -656,7 +649,8 @@ let apply_move sim (meta : pmeta array) (counts : int array) mh p = function
    reasoning a begin also commutes with a non-completing advance: the
    advance's memory effect is invisible to the begin (no memory access,
    script reads own state only) and no endpoint separates them. *)
-let instant (program : Op.value Program.t) = Program.next_invocation program = None
+let instant (program : Op.value Program.t) =
+  match program with Program.Return _ -> true | Program.Step _ -> false
 
 (* Monomorphic [List.assoc_opt] over the enabled-move list: pid keys are
    ints, so the polymorphic-compare dispatch is pure overhead here. *)
@@ -981,7 +975,7 @@ module Testing = struct
 
   let running ~label ~seq ~resps_rev ~snap : slot =
     P_running
-      { program = Program.Return 0 (* never read by key machinery *);
+      { pending = Op.Read 0 (* never read by key machinery *);
         label;
         label_h = Hashtbl.hash label;
         seq;

@@ -19,7 +19,12 @@ let rec bind m f =
   | Return x -> f x
   | Step (inv, k) -> Step (inv, fun v -> bind (k v) f)
 
-let map f m = bind m (fun x -> return (f x))
+(* Direct recursion rather than [bind m (fun x -> return (f x))]: one
+   continuation closure per layer instead of two. *)
+let rec map f m =
+  match m with
+  | Return x -> Return (f x)
+  | Step (inv, k) -> Step (inv, fun v -> map f (k v))
 
 module Syntax = struct
   let ( let* ) = bind
@@ -28,46 +33,45 @@ end
 
 open Syntax
 
-let step inv = Step (inv, fun v -> Return v)
+(* The continuations every operation with an untyped or boolean result
+   shares: closed functions, so no closure is built per operation, and the
+   boolean ones answer with preallocated results. *)
+let k_value v = Return v
+let k_unit _ = Return ()
+let return_true = Return true
+let return_false = Return false
+let k_success r = if r = 1 then return_true else return_false
+let k_nonzero v = if v <> 0 then return_true else return_false
 
-(* Typed operations over Var handles. *)
+let step inv = Step (inv, k_value)
 
-let read var =
-  let+ v = step (Op.Read (Var.addr var)) in
-  Var.decode var v
+(* Typed operations over Var handles: one [Step] each, whose continuation
+   decodes the response directly. *)
 
-let write var x =
-  let+ _ = step (Op.Write (Var.addr var, Var.encode var x)) in
-  ()
+let read var = Step (Op.Read (Var.addr var), fun v -> Return (Var.decode var v))
+
+let write var x = Step (Op.Write (Var.addr var, Var.encode var x), k_unit)
 
 let cas var ~expected ~update =
-  let+ r =
-    step
-      (Op.Cas (Var.addr var, Var.encode var expected, Var.encode var update))
-  in
-  r = 1
+  Step
+    ( Op.Cas (Var.addr var, Var.encode var expected, Var.encode var update),
+      k_success )
 
 let load_linked var =
-  let+ v = step (Op.Ll (Var.addr var)) in
-  Var.decode var v
+  Step (Op.Ll (Var.addr var), fun v -> Return (Var.decode var v))
 
 let store_conditional var x =
-  let+ r = step (Op.Sc (Var.addr var, Var.encode var x)) in
-  r = 1
+  Step (Op.Sc (Var.addr var, Var.encode var x), k_success)
 
-let fetch_and_add var delta =
-  let+ v = step (Op.Faa (Var.addr var, delta)) in
-  v
+let fetch_and_add var delta = Step (Op.Faa (Var.addr var, delta), k_value)
 
 let fetch_and_increment var = fetch_and_add var 1
 
 let fetch_and_store var x =
-  let+ v = step (Op.Fas (Var.addr var, Var.encode var x)) in
-  Var.decode var v
+  Step
+    (Op.Fas (Var.addr var, Var.encode var x), fun v -> Return (Var.decode var v))
 
-let test_and_set var =
-  let+ v = step (Op.Tas (Var.addr var)) in
-  v <> 0
+let test_and_set var = Step (Op.Tas (Var.addr var), k_nonzero)
 
 (* Control flow. *)
 

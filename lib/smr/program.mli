@@ -16,6 +16,8 @@ val return : 'a -> 'a t
 val bind : 'a t -> ('a -> 'b t) -> 'b t
 
 val map : ('a -> 'b) -> 'a t -> 'b t
+(** [map f m] behaves as [bind m (fun x -> return (f x))], with one
+    continuation closure per step instead of two. *)
 
 module Syntax : sig
   val ( let* ) : 'a t -> ('a -> 'b t) -> 'b t
@@ -25,7 +27,15 @@ end
 val step : Op.invocation -> Op.value t
 (** A single raw memory operation. *)
 
-(** {1 Typed operations} *)
+(** {1 Typed operations}
+
+    Each typed operation is exactly one [Step (inv, k)]: [inv] is the
+    encoded invocation on the handle's address, and [k] returns the
+    decoded response at once (for {!read}, {!load_linked} and
+    {!fetch_and_store}, [Return (Var.decode var r)]).  Continuations that
+    do not depend on the handle — unit, raw value, success flag — are
+    shared closures, so building an operation allocates its invocation,
+    its [Step] and at most one closure. *)
 
 val read : 'a Var.t -> 'a t
 

@@ -118,8 +118,10 @@ let layout t = t.layout
 let memory t = t.mem
 let clock t = t.clock
 
+(* [Pid_map.find] rather than [find_opt] in the per-step lookups: the hit
+   path allocates no option. *)
 let proc_state t p =
-  match Pid_map.find_opt p t.procs with Some st -> st | None -> Idle
+  match Pid_map.find p t.procs with st -> st | exception Not_found -> Idle
 
 let is_idle t p = proc_state t p = Idle
 let is_terminated t p = proc_state t p = Terminated
@@ -486,7 +488,7 @@ let ends t = List.rev t.ends_rev
    instead of a scan of the recorded history, and independent of whether
    the machine keeps one. *)
 let last_result t p =
-  match Pid_map.find_opt p t.last_by_pid with Some r -> r | None -> None
+  match Pid_map.find p t.last_by_pid with r -> r | exception Not_found -> None
 
 let calls_of t p =
   List.rev

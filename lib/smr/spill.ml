@@ -99,11 +99,47 @@ let ensure_dir t =
     t.dir_made <- true
   end
 
+(* Segment file format: a 56-byte header, then the marshalled
+   [(keys, chains)] payload.  The header is the 8-byte magic; format
+   version, segment index, key count and payload length as little-endian
+   int64s at offsets 8, 16, 24 and 32; and the 16-byte MD5 [Digest] of
+   the payload at offset 40.  [read_seg] validates all of it before
+   unmarshalling, so a truncated, corrupted or foreign file is reported
+   instead of being handed to [Marshal].  The header holds nothing
+   run-dependent, so a deterministic search still writes byte-identical
+   files. *)
+let magic = "SEPSPILL"
+let version = 1
+let header_len = 56
+
+let fail_seg path fmt =
+  Printf.ksprintf
+    (fun msg ->
+      failwith (Printf.sprintf "Explore.check: spill segment %s: %s" path msg))
+    fmt
+
+let header ~index ~count payload =
+  let b = Bytes.create header_len in
+  Bytes.blit_string magic 0 b 0 8;
+  List.iteri
+    (fun j v -> Bytes.set_int64_le b (8 + (8 * j)) (Int64.of_int v))
+    [ version; index; count; String.length payload ];
+  Bytes.blit_string (Digest.string payload) 0 b 40 16;
+  Bytes.unsafe_to_string b
+
 let write_seg t i s =
   ensure_dir t;
-  let oc = open_out_bin (seg_path t i) in
-  Marshal.to_channel oc (s.keys, s.chains, s.count) [];
-  close_out oc;
+  let path = seg_path t i in
+  let payload = Marshal.to_string (s.keys, s.chains) [] in
+  (try
+     let oc = open_out_bin path in
+     Fun.protect
+       ~finally:(fun () -> close_out_noerr oc)
+       (fun () ->
+         output_string oc (header ~index:i ~count:s.count payload);
+         output_string oc payload;
+         close_out oc)
+   with Sys_error msg -> fail_seg path "write failed: %s" msg);
   s.written <- true;
   s.dirty <- false;
   t.spilled <- t.spilled + 1
@@ -143,11 +179,45 @@ let enforce_budget t ~keep ~keep2 =
     ()
   done
 
+(* Read segment [i] back, checking the header against what this store
+   wrote there before trusting the payload to [Marshal]. *)
+let read_seg t i s =
+  let path = seg_path t i in
+  let ic =
+    try open_in_bin path with Sys_error msg -> fail_seg path "cannot open: %s" msg
+  in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      let file_len = in_channel_length ic in
+      if file_len < header_len then
+        fail_seg path "truncated (%d bytes, header alone is %d)" file_len
+          header_len;
+      let h = really_input_string ic header_len in
+      let field j = Int64.to_int (String.get_int64_le h (8 + (8 * j))) in
+      if String.sub h 0 8 <> magic then fail_seg path "not a spill segment";
+      if field 0 <> version then
+        fail_seg path "format version %d, expected %d" (field 0) version;
+      if field 1 <> i then
+        fail_seg path "holds segment %d, expected %d" (field 1) i;
+      if field 2 <> s.count then
+        fail_seg path "holds %d keys, expected %d" (field 2) s.count;
+      let len = field 3 in
+      if len <> file_len - header_len then
+        fail_seg path "payload is %d bytes, header says %d"
+          (file_len - header_len) len;
+      let payload = really_input_string ic len in
+      if not (String.equal (Digest.string payload) (String.sub h 40 16)) then
+        fail_seg path "payload checksum mismatch";
+      let (keys : string array), (chains : 'c array) =
+        Marshal.from_string payload 0
+      in
+      if Array.length keys <> t.seg_keys || Array.length chains <> t.seg_keys
+      then fail_seg path "malformed payload";
+      (keys, chains))
+
 let load t i s =
-  let ic = open_in_bin (seg_path t i) in
-  let keys, chains, count = Marshal.from_channel ic in
-  close_in ic;
-  assert (count = s.count);
+  let keys, chains = read_seg t i s in
   s.keys <- keys;
   s.chains <- chains;
   t.resident <- t.resident + s.bytes;

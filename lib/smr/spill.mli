@@ -11,7 +11,12 @@
     {!Fp_intern}) stays resident; segments beyond [budget_bytes] are
     marshalled to [Filename.concat dir "seg<i>.bin"] least-recently-
     touched first and read back on a probe miss (payloads updated since
-    the last write trigger a rewrite on the next eviction).
+    the last write trigger a rewrite on the next eviction).  Each file
+    carries a header (magic, format version, segment index, key count,
+    payload length, payload digest) that is validated before the payload
+    is unmarshalled: a truncated, corrupted or foreign segment file, like a
+    failed write, raises [Failure "Explore.check: spill segment <path>:
+    <reason>"], and no channel is left open.
 
     Determinism: for a deterministic probe sequence, ids, file bytes and
     the {!spilled}/{!reloads} counters are all pure functions of that

@@ -13,7 +13,15 @@
    per cell instead of ~10 per map node.  Debug names are NOT materialized
    per cell: a million-element vector would otherwise pay a [Printf] and a
    string per element up front.  Instead the layout keeps one naming segment
-   per allocation call and renders "V[i]" on demand. *)
+   per allocation call and renders "V[i]" on demand.
+
+   Handles follow the same rule.  A handle carries its address, its
+   encoding and a pointer to the allocation it came from (shared by every
+   element of a vec); [name] and [home] of a vec element are rendered from
+   the vec's base name, home function and the element's index on demand.
+   Minting an element handle is therefore one small record — no [Printf],
+   no string, no boxed home — which matters because programs mint one per
+   access to a per-process cell. *)
 
 type home = Module of Op.pid | Shared
 
@@ -25,30 +33,47 @@ let pp_home ppf = function
 let home_code = function Shared -> -1 | Module i -> i
 let home_of_code c = if c < 0 then Shared else Module c
 
+(* Where a handle came from: a single cell, or one element of a range
+   allocated as a vec (the range's origin is shared by all its handles). *)
+type origin =
+  | Cell of string * home
+  | Range of { r_base : Op.addr; r_name : string; r_home : int -> home }
+
 type 'a t = {
   addr : Op.addr;
-  name : string;
-  home : home;
   encode : 'a -> Op.value;
   decode : Op.value -> 'a;
+  origin : origin;
 }
 
 let addr v = v.addr
-let name v = v.name
-let home v = v.home
+
+(* The debug name of element [i] of the vec named [name]. *)
+let element_name name i = Printf.sprintf "%s[%d]" name i
+
+let name v =
+  match v.origin with
+  | Cell (name, _) -> name
+  | Range r -> element_name r.r_name (v.addr - r.r_base)
+
+let home v =
+  match v.origin with
+  | Cell (_, home) -> home
+  | Range r -> r.r_home (v.addr - r.r_base)
+
 let encode v x = v.encode x
 let decode v x = v.decode x
 
 (* A contiguous range of cells sharing one base name and encoding.  Unlike
-   ['a t array] (which materializes one record and one name string per
-   element), a vec is O(1) space regardless of length: element handles are
-   minted on demand by {!vec_get}.  This is what lets algorithms with
+   ['a t array] (which materializes one handle record per element), a vec
+   is O(1) space regardless of length: element handles are minted on
+   demand by {!vec_get}.  This is what lets algorithms with
    per-process state (queues, flag vectors) instantiate at k = 10^6. *)
 type 'a vec = {
   v_base : Op.addr;
   v_len : int;
   v_name : string;
-  v_home : int -> home;
+  v_origin : origin; (* [Range] over exactly this vec *)
   v_encode : 'a -> Op.value;
   v_decode : Op.value -> 'a;
 }
@@ -63,12 +88,10 @@ let vec_addr v i =
   else v.v_base + i
 
 let vec_get v i =
-  let addr = vec_addr v i in
-  { addr;
-    name = Printf.sprintf "%s[%d]" v.v_name i;
-    home = v.v_home i;
+  { addr = vec_addr v i;
     encode = v.v_encode;
-    decode = v.v_decode }
+    decode = v.v_decode;
+    origin = v.v_origin }
 
 (* One naming segment per allocation call: cells [base, base+len) are named
    by [namer (a - base)]. *)
@@ -155,7 +178,7 @@ module Ctx = struct
     ctx.homes.(addr) <- home_code home;
     ctx.inits.(addr) <- encode init;
     push_seg ctx { s_base = addr; s_len = 1; s_namer = (fun _ -> name) };
-    { addr; name; home; encode; decode }
+    { addr; encode; decode; origin = Cell (name, home) }
 
   let int ctx ~name ~home init =
     alloc ctx ~name ~home ~encode:Fun.id ~decode:Fun.id init
@@ -186,9 +209,13 @@ module Ctx = struct
     push_seg ctx
       { s_base = base;
         s_len = n;
-        s_namer = (fun i -> Printf.sprintf "%s[%d]" name i) };
-    { v_base = base; v_len = n; v_name = name; v_home = home;
-      v_encode = encode; v_decode = decode }
+        s_namer = element_name name };
+    { v_base = base;
+      v_len = n;
+      v_name = name;
+      v_origin = Range { r_base = base; r_name = name; r_home = home };
+      v_encode = encode;
+      v_decode = decode }
 
   let int_vec ctx ~name ~home n init =
     alloc_vec ctx ~name ~home ~encode:Fun.id ~decode:Fun.id n init

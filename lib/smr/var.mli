@@ -15,8 +15,14 @@ type 'a t
 (** A typed handle on one shared cell. *)
 
 val addr : 'a t -> Op.addr
+
 val name : 'a t -> string
+(** Debug name: the allocation's name for a single cell, ["V[i]"] for
+    element [i] of vec [V] (rendered on each call, not stored). *)
+
 val home : 'a t -> home
+(** The cell's DSM home; for a vec element, the vec's home function
+    applied to the element's index (evaluated on each call). *)
 
 val encode : 'a t -> 'a -> Op.value
 (** Encode a typed value into the cell representation. *)
@@ -27,7 +33,7 @@ val decode : 'a t -> Op.value -> 'a
 type 'a vec
 (** A contiguous range of cells sharing one base name and encoding — O(1)
     space regardless of length, unlike ['a t array] which materializes one
-    record and one name string per element.  The representation algorithms
+    handle record per element.  The representation algorithms
     with per-process state must use to instantiate at k = 10^6. *)
 
 val vec_len : 'a vec -> int
@@ -36,8 +42,10 @@ val vec_addr : 'a vec -> int -> Op.addr
 (** Address of element [i]; raises [Invalid_argument] out of bounds. *)
 
 val vec_get : 'a vec -> int -> 'a t
-(** Mint the handle of element [i] on demand (allocates the handle and its
-    debug name; cheap, but hot loops should hoist it when possible). *)
+(** Mint the handle of element [i] on demand: one small record holding the
+    address, the vec's encoding and a pointer to the vec's shared origin —
+    no name string and no home value are built ({!name} and {!home}
+    render them when asked).  Raises [Invalid_argument] out of bounds. *)
 
 type layout
 (** Frozen allocation: addresses with homes, initial values and debug names.

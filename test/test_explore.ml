@@ -737,6 +737,56 @@ let test_spill_store_basics () =
   Spill.cleanup t;
   check_false "cleanup removes the spill directory" (Sys.file_exists dir)
 
+let test_spill_store_corruption () =
+  (* Segment files are validated before they are unmarshalled: a
+     truncated file, a valid file of another segment copied over this
+     one's, and garbage bytes are each reported as a clear error — as is a
+     write that fails. *)
+  let dir = spill_dir "corrupt" in
+  let t =
+    Spill.create ~dir ~seg_keys:16 ~budget_bytes:1 ~chain_zero:0
+      ~chain_bytes:(fun _ -> 8)
+      ()
+  in
+  let key i = Printf.sprintf "key-%04d-%s" i (String.make 40 'x') in
+  for i = 0 to 99 do
+    ignore (Spill.intern t ~hash:(i * 7919) (key i))
+  done;
+  (* ids 0..95 fill segments 0..5, all paged out under a 1-byte budget;
+     segment 6 is still filling and stays resident *)
+  let seg i = Filename.concat dir (Printf.sprintf "seg%06d.bin" i) in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let write path s = Out_channel.with_open_bin path (fun oc -> output_string oc s) in
+  let whole = read (seg 1) in
+  write (seg 1) (String.sub whole 0 (String.length whole / 2));
+  write (seg 2) (read (seg 3));
+  write (seg 4) (String.make (String.length (read (seg 4))) 'z');
+  let rejected what id =
+    match Spill.key t id with
+    | _ -> Alcotest.failf "%s: segment accepted" what
+    | exception Failure msg ->
+      check_true
+        (Printf.sprintf "%s: a clear error (%s)" what msg)
+        (String.starts_with ~prefix:"Explore.check: spill segment " msg)
+  in
+  rejected "truncated" 20;
+  rejected "another segment's file" 40;
+  rejected "garbage" 70;
+  check_true "intact segments still reload" (String.equal (Spill.key t 50) (key 50));
+  (* The spill directory vanishes: the next eviction cannot write. *)
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir;
+  (match
+     for i = 100 to 199 do
+       ignore (Spill.intern t ~hash:(i * 7919) (key i))
+     done
+   with
+  | () -> Alcotest.fail "a failed segment write went unreported"
+  | exception Failure msg ->
+    check_true ("a failed write is a clear error: " ^ msg)
+      (String.starts_with ~prefix:"Explore.check: spill segment " msg));
+  Spill.cleanup t
+
 (* --- stats plumbing --- *)
 
 let test_fp_stats_exposed () =
@@ -808,5 +858,7 @@ let suite =
       test_spill_concurrent_runs;
     case "unusable spill directory is a clear error" test_spill_dir_errors;
     case "spill store: ids and payloads survive paging" test_spill_store_basics;
+    case "spill store: corrupt segments and failed writes are reported"
+      test_spill_store_corruption;
     case "intern-table stats exposed and sane" test_fp_stats_exposed;
     case "wall-clock metric has a single source" test_wall_metric_single_source ]

@@ -150,6 +150,158 @@ let prop_bind_assoc =
       let rhs = Program.bind m (fun x -> Program.bind (f x) g) in
       interpret ~respond lhs = interpret ~respond rhs)
 
+(* --- the one-step typed operations against their two-step definitions --- *)
+
+(* The typed operations as they were first written: a raw [step] followed
+   by a [let+] over a bind-based [map].  They are the reference the
+   one-step operations must agree with. *)
+module Reference = struct
+  let map f m = Program.bind m (fun x -> Program.return (f x))
+  let ( let+ ) m f = map f m
+  let step inv = Program.Step (inv, fun v -> Program.Return v)
+
+  let read var =
+    let+ v = step (Op.Read (Var.addr var)) in
+    Var.decode var v
+
+  let write var x =
+    let+ _ = step (Op.Write (Var.addr var, Var.encode var x)) in
+    ()
+
+  let cas var ~expected ~update =
+    let+ r =
+      step
+        (Op.Cas (Var.addr var, Var.encode var expected, Var.encode var update))
+    in
+    r = 1
+
+  let load_linked var =
+    let+ v = step (Op.Ll (Var.addr var)) in
+    Var.decode var v
+
+  let store_conditional var x =
+    let+ r = step (Op.Sc (Var.addr var, Var.encode var x)) in
+    r = 1
+
+  let fetch_and_add var delta =
+    let+ v = step (Op.Faa (Var.addr var, delta)) in
+    v
+
+  let fetch_and_increment var = fetch_and_add var 1
+
+  let fetch_and_store var x =
+    let+ v = step (Op.Fas (Var.addr var, Var.encode var x)) in
+    Var.decode var v
+
+  let test_and_set var =
+    let+ v = step (Op.Tas (Var.addr var)) in
+    v <> 0
+end
+
+(* Responses covering every decoding branch: negative (NIL), zero, one,
+   and other nonzero values. *)
+let responses = [ -1; 0; 1; 2; 7 ]
+
+(* [actual] is exactly one [Step] with [expected]'s invocation, and for
+   every response its continuation returns at once what [expected]'s
+   returns. *)
+let same_one_step name (actual : 'a Program.t) (expected : 'a Program.t) =
+  let returned = function
+    | Program.Return x -> x
+    | Program.Step _ -> Alcotest.failf "%s: continuation takes a second step" name
+  in
+  match (actual, expected) with
+  | Program.Step (inv, k), Program.Step (inv', k') ->
+    check_true (name ^ ": same invocation") (inv = inv');
+    List.iter
+      (fun r ->
+        check_true
+          (Printf.sprintf "%s: same result on response %d" name r)
+          (returned (k r) = returned (k' r)))
+      responses
+  | Program.Return _, _ | _, Program.Return _ ->
+    Alcotest.failf "%s: not a single step" name
+
+let test_typed_ops_one_step () =
+  let ctx = Var.Ctx.create () in
+  let i = Var.Ctx.int ctx ~name:"i" ~home:Var.Shared 0 in
+  let b = Var.Ctx.bool ctx ~name:"b" ~home:(Var.Module 1) false in
+  let w = Var.Ctx.pid_opt ctx ~name:"w" ~home:Var.Shared None in
+  let flags =
+    Var.Ctx.bool_vec ctx ~name:"F" ~home:(fun j -> Var.Module j) 4 (fun _ -> false)
+  in
+  let f2 = Var.vec_get flags 2 in
+  let ints = [ -1; 0; 1; 5 ] and bools = [ false; true ] in
+  let pids = [ None; Some 0; Some 3 ] in
+  let each_var name var xs =
+    same_one_step (name ^ " read") (Program.read var) (Reference.read var);
+    same_one_step (name ^ " load_linked") (Program.load_linked var)
+      (Reference.load_linked var);
+    List.iter
+      (fun x ->
+        same_one_step (name ^ " write") (Program.write var x)
+          (Reference.write var x);
+        same_one_step (name ^ " store_conditional")
+          (Program.store_conditional var x)
+          (Reference.store_conditional var x);
+        same_one_step (name ^ " fetch_and_store")
+          (Program.fetch_and_store var x)
+          (Reference.fetch_and_store var x);
+        List.iter
+          (fun y ->
+            same_one_step (name ^ " cas")
+              (Program.cas var ~expected:x ~update:y)
+              (Reference.cas var ~expected:x ~update:y))
+          xs)
+      xs
+  in
+  each_var "int" i ints;
+  each_var "bool" b bools;
+  each_var "bool vec element" f2 bools;
+  each_var "pid option" w pids;
+  List.iter
+    (fun d ->
+      same_one_step "fetch_and_add" (Program.fetch_and_add i d)
+        (Reference.fetch_and_add i d))
+    ints;
+  same_one_step "fetch_and_increment" (Program.fetch_and_increment i)
+    (Reference.fetch_and_increment i);
+  same_one_step "test_and_set" (Program.test_and_set b) (Reference.test_and_set b);
+  same_one_step "test_and_set on a vec element" (Program.test_and_set f2)
+    (Reference.test_and_set f2)
+
+(* Two programs agree on every path: the same invocation at every node and
+   the same result at every leaf, following each continuation for every
+   response in [domain] (to [depth] steps). *)
+let rec same_paths ~domain depth p q =
+  match (p, q) with
+  | Program.Return x, Program.Return y -> x = y
+  | Program.Step (i, k), Program.Step (j, l) ->
+    i = j
+    && (depth = 0
+       || List.for_all (fun r -> same_paths ~domain (depth - 1) (k r) (l r)) domain)
+  | Program.Return _, Program.Step _ | Program.Step _, Program.Return _ -> false
+
+let prop_map_agrees_with_bind =
+  (* A response-branching tree: at each node read the next address; a
+     nonzero response continues with the rest, zero stops with the sum of
+     the responses so far. *)
+  let rec tree acc = function
+    | [] -> Program.return acc
+    | a :: rest ->
+      Program.bind (Program.step (Op.Read a)) (fun r ->
+          if r = 0 then Program.return acc else tree (acc + r) rest)
+  in
+  qcheck "map agrees with bind-then-return on every path"
+    QCheck.(pair (small_list (int_bound 7)) (int_bound 5))
+    (fun (addrs, c) ->
+      let f x = (x * 3) + c in
+      let domain = [ 0; 1; 2 ] in
+      let m = tree 0 addrs in
+      same_paths ~domain 8 (Program.map f m) (Reference.map f m)
+      && same_paths ~domain 8 (Program.map f (Program.return c))
+           (Reference.map f (Program.return c)))
+
 let suite =
   [ case "return has no steps" test_return_has_no_steps;
     case "bind sequences" test_bind_sequences;
@@ -164,4 +316,6 @@ let suite =
     case "cas result decoding" test_cas_bool_result;
     case "length_exn" test_length_exn;
     case "next_invocation" test_next_invocation;
-    prop_bind_assoc ]
+    case "typed operations are one step, same results" test_typed_ops_one_step;
+    prop_bind_assoc;
+    prop_map_agrees_with_bind ]

@@ -70,6 +70,39 @@ let test_custom_encoding () =
   check_int "typed init encoded" 1 (Var.layout_init layout (Var.addr v));
   check_true "round trip" (Var.decode v (Var.encode v `C) = `C)
 
+let test_vec_handles () =
+  (* Element handles render their name and home from the vec on demand;
+     what they report is exactly what a per-element record would hold. *)
+  let ctx = Var.Ctx.create () in
+  let pad = Var.Ctx.int ctx ~name:"pad" ~home:Var.Shared 0 in
+  let v =
+    Var.Ctx.int_vec ctx ~name:"V" ~home:(fun i -> Var.Module i) 5 (fun i -> 10 * i)
+  in
+  let s =
+    Var.Ctx.pid_opt_vec ctx ~name:"S" ~home:(fun _ -> Var.Shared) 2 (fun _ -> None)
+  in
+  let layout = Var.Ctx.freeze ctx in
+  let base = Var.vec_addr v 0 in
+  let v3 = Var.vec_get v 3 in
+  check_true "name" (Var.name v3 = "V[3]");
+  check_true "home" (Var.home v3 = Var.Module 3);
+  check_int "addr" (base + 3) (Var.addr v3);
+  check_int "vec_addr agrees" (Var.vec_addr v 3) (Var.addr v3);
+  check_true "layout names the same cell alike"
+    (Var.layout_name layout (Var.addr v3) = Var.name v3);
+  check_int "init" 30 (Var.layout_init layout (Var.addr v3));
+  let s1 = Var.vec_get s 1 in
+  check_true "second vec: name" (Var.name s1 = "S[1]");
+  check_true "second vec: home" (Var.home s1 = Var.Shared);
+  check_int "second vec: addr" (Var.vec_addr s 0 + 1) (Var.addr s1);
+  check_true "second vec: encoding"
+    (Var.encode s1 None = -1 && Var.decode s1 4 = Some 4);
+  check_true "scalar cells keep their own name and home"
+    (Var.name pad = "pad" && Var.home pad = Var.Shared);
+  Alcotest.check_raises "out of bounds"
+    (Invalid_argument "Var.vec_addr: index 5 out of bounds for V[0..5)")
+    (fun () -> ignore (Var.vec_get v 5))
+
 let suite =
   [ case "distinct addresses" test_distinct_addresses;
     case "layout contents" test_layout_contents;
@@ -77,4 +110,5 @@ let suite =
     case "freeze isolation" test_freeze_isolation;
     case "array initializers" test_array_initializers;
     case "pid option encoding" test_pid_opt_encoding;
-    case "custom encoding" test_custom_encoding ]
+    case "custom encoding" test_custom_encoding;
+    case "vec element handles" test_vec_handles ]

@@ -155,10 +155,14 @@ let test_driver_spec_verdict_detects_violations () =
   check_true (not r.Driver.r_spec_ok)
 
 let test_driver_allocation_bounded () =
-  (* Steady state allocates a bounded constant per step (the free-monad
-     interpretation's closures), independent of k: the engine itself —
-     cells, caches, accounting — is flat arrays and allocates nothing,
-     and arming the counter planes adds nothing per step either. *)
+  (* Steady state allocates a bounded constant per step (the programs'
+     steps and continuations, the driver's bookkeeping), independent of k:
+     the engine itself — cells, caches, accounting — is flat arrays and
+     allocates nothing, and arming the counter planes adds nothing per
+     step either.  The bounds are the measured figures (dev profile:
+     ~42 words/step for dsm-broadcast/dsm, ~44 for cc-flag/cc-wt) plus
+     slack; minting a debug-name string per vec handle, for one, breaks
+     the dsm bound. *)
   let words_per_step ?(counters = false) ~algorithm ~model k =
     let sc = scenario ~algorithm ~model ~k () in
     let counters =
@@ -176,17 +180,17 @@ let test_driver_allocation_bounded () =
   in
   let dsm = words_per_step ~algorithm:"dsm-broadcast" ~model:`Dsm in
   let small = dsm 500 and large = dsm 4000 in
-  check_true (small < 256.0);
-  check_true (large < 256.0);
+  let within name ok = Alcotest.(check bool) name true ok in
+  within "dsm-broadcast, k = 500: < 64 words/step" (small < 64.0);
+  within "dsm-broadcast, k = 4000: < 64 words/step" (large < 64.0);
   (* constant, not growing with k: allow generous jitter for GC noise *)
   check_true (large < small *. 2.0 +. 16.0);
   let cc ~counters =
     words_per_step ~counters ~algorithm:"cc-flag" ~model:`Cc_wt 4000
   in
   let off = cc ~counters:false and armed = cc ~counters:true in
-  let within name ok = Alcotest.(check bool) name true ok in
-  within "cc-flag, counters off: < 256 words/step" (off < 256.0);
-  within "cc-flag, counters armed: < 256 words/step" (armed < 256.0);
+  within "cc-flag, counters off: < 64 words/step" (off < 64.0);
+  within "cc-flag, counters armed: < 64 words/step" (armed < 64.0);
   within "arming counters adds <= 1 word/step" (armed <= off +. 1.0)
 
 let test_timeline_sampled () =
