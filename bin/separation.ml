@@ -174,22 +174,8 @@ let explore_cmd =
              unchanged, states visited shrink by up to the factorial of \
              the waiter count.")
   in
-  let mem_budget =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "mem-budget" ] ~docv:"MIB"
-          ~doc:
-            "Cap the resident dedup tables at $(docv) MiB per search; \
-             segments beyond the window spill to binary files in a fresh \
-             directory under the system temp dir (removed when the search \
-             ends) and are read back on probe misses.  \
-             Verdicts and all counts except the spill counters are \
-             byte-identical to an unbudgeted run.")
-  in
   let run (module A : Core.Signaling.POLLING) n waiters polls signalers
-      static_indep cap jobs json no_dedup no_por no_symmetry
-      mem_budget =
+      static_indep cap jobs json no_dedup no_por no_symmetry =
     let open Smr in
     let ctx = Var.Ctx.create () in
     let signaler_pids = List.init signalers (fun i -> i) in
@@ -263,22 +249,16 @@ let explore_cmd =
     if not no_symmetry then
       if sym_k >= 2 then
         Fmt.epr "symmetry: %d interchangeable waiter(s)@." sym_k
+      else if waiters < 2 then
+        Fmt.epr "symmetry: not applicable (fewer than two waiters)@."
       else
         Fmt.epr
           "symmetry: declined (waiter programs not interchangeable); running \
            without reduction@.";
-    let mem_budget_bytes = Option.map (fun mib -> mib * 1024 * 1024) mem_budget in
     let search ~lean =
-      match
-        Explore.check ~max_histories:cap ~dedup:(not no_dedup)
-          ~por:(not no_por) ~commute ~lean ~jobs ~symmetry
-          ?mem_budget:mem_budget_bytes ~layout ~model:(Cost_model.dsm layout)
-          ~n ~scripts ~property:Core.Signaling.polling_ok ()
-      with
-      | r -> r
-      | exception Failure msg ->
-        Fmt.epr "separation explore: %s@." msg;
-        exit 1
+      Explore.check ~max_histories:cap ~dedup:(not no_dedup) ~por:(not no_por)
+        ~commute ~lean ~jobs ~symmetry ~layout ~model:(Cost_model.dsm layout)
+        ~n ~scripts ~property:Core.Signaling.polling_ok ()
     in
     let r = search ~lean:true in
     (* The table carries only deterministic facts: jobs and wall time stay
@@ -295,8 +275,7 @@ let explore_cmd =
               ("polls", int polls); ("signalers", int signalers);
               ("cap", int cap); ("dedup", bool (not no_dedup));
               ("por", bool (not no_por)); ("static_indep", bool static_indep);
-              ("symmetry", int sym_k);
-              ("mem_budget_mib", int (Option.value mem_budget ~default:0)) ]
+              ("symmetry", int sym_k) ]
         ~columns:
           Core.Results.
             [ measure "histories"; measure "truncated"; measure "complete";
@@ -304,8 +283,7 @@ let explore_cmd =
               measure "por_prunes"; measure "tasks"; measure "max_depth";
               measure "orbit_hits"; measure "fp_distinct";
               measure "fp_collisions"; measure "fp_resizes";
-              measure "fp_slots"; measure "spill_segments";
-              measure "spill_reloads" ]
+              measure "fp_slots" ]
         Core.Results.
           [ [ int r.Explore.histories; int r.Explore.truncated;
               bool r.Explore.complete; bool (r.Explore.violation <> None);
@@ -318,9 +296,7 @@ let explore_cmd =
               int r.Explore.stats.Explore.fp_distinct;
               int r.Explore.stats.Explore.fp_collisions;
               int r.Explore.stats.Explore.fp_resizes;
-              int r.Explore.stats.Explore.fp_slots;
-              int r.Explore.stats.Explore.spill_segments;
-              int r.Explore.stats.Explore.spill_reloads ] ]
+              int r.Explore.stats.Explore.fp_slots ] ]
     in
     Fmt.epr "search took %.2fs@." r.Explore.stats.Explore.wall_s;
     if json then print_string (Core.Results.to_json table)
@@ -336,15 +312,10 @@ let explore_cmd =
         r.Explore.stats.Explore.orbit_hits r.Explore.stats.Explore.por_prunes
         r.Explore.stats.Explore.tasks r.Explore.stats.Explore.max_depth;
       Fmt.pr "intern: %d distinct keys, %d collisions, %d resizes, %d \
-              slots%s@."
+              slots@."
         r.Explore.stats.Explore.fp_distinct
         r.Explore.stats.Explore.fp_collisions
-        r.Explore.stats.Explore.fp_resizes r.Explore.stats.Explore.fp_slots
-        (if r.Explore.stats.Explore.spill_segments > 0 then
-           Printf.sprintf "; spilled %d segment(s), reloaded %d"
-             r.Explore.stats.Explore.spill_segments
-             r.Explore.stats.Explore.spill_reloads
-         else "");
+        r.Explore.stats.Explore.fp_resizes r.Explore.stats.Explore.fp_slots;
       match r.Explore.violation with
       | None -> Fmt.pr "Specification 4.1 holds on every explored history.@."
       | Some sim ->
@@ -374,8 +345,7 @@ let explore_cmd =
           configuration and check Specification 4.1.")
     Term.(
       const run $ algo $ n_arg $ waiters $ polls $ signalers $ static_indep
-      $ cap $ jobs $ json $ no_dedup $ no_por $ no_symmetry
-      $ mem_budget)
+      $ cap $ jobs $ json $ no_dedup $ no_por $ no_symmetry)
 
 let adversary_cmd =
   let rounds =

@@ -102,8 +102,6 @@ type stats = {
   fp_collisions : int; (* full-hash collisions among distinct keys *)
   fp_resizes : int; (* intern-table slot doublings *)
   fp_slots : int; (* intern-table slot capacity *)
-  spill_segments : int; (* segment files written under --mem-budget *)
-  spill_reloads : int; (* segments read back on a probe miss *)
   wall_s : float; (* wall-clock seconds (the only run-dependent field) *)
 }
 
@@ -509,53 +507,6 @@ let detect_symmetry ?(fuel = 4096) ~values candidates =
       if same = [] then Pid_set.empty
       else Pid_set.of_list (p0 :: List.map fst same)
 
-(* --- byte-encoded dedup keys (the spill-to-disk mode) --- *)
-
-(* Canonical byte serialization of a dedup key, faithful to [fp_equal]:
-   equal bytes iff equal fingerprints.  The metadata section comes first —
-   every variable-length field is length-prefixed, so it is uniquely
-   parseable and the memory section that follows cannot alias into it.
-   Only [fp_equal]'s fields are encoded (no [pending], no [begun], no
-   derived hashes). *)
-let add_i64 buf (v : int) = Buffer.add_int64_le buf (Int64.of_int v)
-
-let encode_key buf (meta : pmeta array) mem =
-  Buffer.clear buf;
-  Array.iter
-    (fun pm ->
-      match pm with
-      | P_idle (c, r) -> (
-        Buffer.add_char buf '\000';
-        add_i64 buf c;
-        match r with
-        | None -> Buffer.add_char buf '\000'
-        | Some v ->
-          Buffer.add_char buf '\001';
-          add_i64 buf v)
-      | P_running m ->
-        Buffer.add_char buf '\002';
-        add_i64 buf (String.length m.label);
-        Buffer.add_string buf m.label;
-        add_i64 buf m.seq;
-        add_i64 buf m.resps_len;
-        List.iter (add_i64 buf) m.resps_rev;
-        Array.iter (add_i64 buf) m.snap)
-    meta;
-  Memory.blit_fingerprint mem buf;
-  Buffer.contents buf
-
-let hash_bytes (s : string) =
-  let h = ref 0x2545F491 in
-  for i = 0 to String.length s - 1 do
-    h := mix !h (Char.code (String.unsafe_get s i))
-  done;
-  !h
-
-(* Resident-footprint estimate of one antichain, for the spill store's
-   budget accounting (words, boxing and spine overheads approximated). *)
-let antichain_bytes (l : Pid_set.t list) =
-  List.fold_left (fun acc s -> acc + 48 + (24 * Pid_set.cardinal s)) 16 l
-
 (* Execute one move, maintaining the per-process metadata in lockstep with
    the machine.  Returns the new machine, the new metadata, and whether
    the move completed a call (the only transitions on which the property
@@ -687,31 +638,10 @@ let child_sleep ~por ~commute ~completed ms sleep explored mv =
 
 exception Stopped of Sim.t option (* [Some sim]: violation; [None]: cap hit *)
 
-(* A fresh directory of its own under [base] for one budgeted search's
-   segment files.  The name is random, and creating it with [mkdir] is
-   exclusive, so concurrent searches sharing a base directory never share
-   files.  A name that already exists is retried; so is a base directory
-   that vanished in between (a concurrent search removes the base when it
-   finishes and finds it empty).  Any other failure is reported. *)
-let rec make_spill_dir ?(attempts = 16) base =
-  let fail msg =
-    failwith ("Explore.check: cannot create a spill directory: " ^ msg)
-  in
-  (try Sys.mkdir base 0o700
-   with Sys_error msg -> if not (Sys.file_exists base) then fail msg);
-  let bits = Random.State.bits (Random.State.make_self_init ()) in
-  let dir = Filename.concat base (Printf.sprintf "run-%08x" bits) in
-  match Sys.mkdir dir 0o700 with
-  | () -> dir
-  | exception Sys_error msg ->
-    if attempts > 1 && (Sys.file_exists dir || not (Sys.file_exists base))
-    then make_spill_dir ~attempts:(attempts - 1) base
-    else fail msg
-
 let check ?tracer ?(max_histories = 1_000_000) ?(max_steps_per_history = 500)
     ?(dedup = true) ?(por = true) ?(commute = Op.commute) ?(lean = true)
-    ?jobs:(_ : int option) ?(symmetry = Pid_set.empty) ?mem_budget ?spill_dir
-    ?(spill_seg_keys = 4096) ~layout ~model ~n ~scripts ~property () =
+    ?jobs:(_ : int option) ?(symmetry = Pid_set.empty) ~layout ~model ~n
+    ~scripts ~property () =
   (* Monotonic wall clock, not [Sys.time] (which is CPU time). *)
   let t0 = Obs.Clock.now_s () in
   let sym = sym_ctx ~n symmetry in
@@ -719,181 +649,134 @@ let check ?tracer ?(max_histories = 1_000_000) ?(max_steps_per_history = 500)
   let sim0 = if lean then Sim.lean_mode sim0 else sim0 in
   (* State identity: (incremental hash, exact key) pairs interned to dense
      ints; the visited table and its sleep-set antichains then key on
-     ints.  With [store = Some st] the keys are byte-encoded instead and
-     both tables live in a {!Spill} store whose segments page out under
-     the byte budget; the dedup decisions are identical (the encoding is
-     faithful to [fp_equal]), only the counters gain spill telemetry. *)
-  let search store =
-    let intern : fp Fp_intern.t = Fp_intern.create ~equal:fp_equal () in
-    let buf = Buffer.create 256 in
-    (* Sleep-set antichains, indexed directly by interned id: ids are
-       dense (0, 1, 2, ...), so a growable array replaces a second hash
-       lookup. *)
-    let visited : Pid_set.t list array ref = ref (Array.make 1024 []) in
-    let antichain id =
-      let arr = !visited in
-      if id < Array.length arr then arr.(id)
-      else begin
-        let arr' = Array.make (max (2 * Array.length arr) (id + 1)) [] in
-        Array.blit arr 0 arr' 0 (Array.length arr);
-        visited := arr';
-        []
-      end
+     ints. *)
+  let intern : fp Fp_intern.t = Fp_intern.create ~equal:fp_equal () in
+  (* Sleep-set antichains, indexed directly by interned id: ids are dense
+     (0, 1, 2, ...), so a growable array replaces a second hash lookup. *)
+  let visited : Pid_set.t list array ref = ref (Array.make 1024 []) in
+  let antichain id =
+    let arr = !visited in
+    if id < Array.length arr then arr.(id)
+    else begin
+      let arr' = Array.make (max (2 * Array.length arr) (id + 1)) [] in
+      Array.blit arr 0 arr' 0 (Array.length arr);
+      visited := arr';
+      []
+    end
+  in
+  let histories = ref 0 and truncated = ref 0 and states = ref 0 in
+  let dedup_hits = ref 0 and por_prunes = ref 0 and maxd = ref 0 in
+  let orbit_hits = ref 0 in
+  (* [max_histories] stops the search immediately after the leaf that
+     reaches it. *)
+  let leaf ~checked sim =
+    incr histories;
+    if (not checked) && not (property sim) then raise (Stopped (Some sim));
+    if !histories >= max_histories then raise (Stopped None)
+  in
+  let rec visit sim meta counts mh sleep depth ~completed =
+    incr states;
+    if depth > !maxd then maxd := depth;
+    (* The verdict can change only when a call completes; checking there
+       (rather than at leaves alone) is what makes pruning sound: every
+       prefix is judged before its extensions are shared or discarded. *)
+    let checked =
+      completed && (if property sim then true else raise (Stopped (Some sim)))
     in
-    let histories = ref 0 and truncated = ref 0 and states = ref 0 in
-    let dedup_hits = ref 0 and por_prunes = ref 0 and maxd = ref 0 in
-    let orbit_hits = ref 0 in
-    (* [max_histories] stops the search immediately after the leaf that
-       reaches it. *)
-    let leaf ~checked sim =
-      incr histories;
-      if (not checked) && not (property sim) then raise (Stopped (Some sim));
-      if !histories >= max_histories then raise (Stopped None)
-    in
-    let rec visit sim meta counts mh sleep depth ~completed =
-      incr states;
-      if depth > !maxd then maxd := depth;
-      (* The verdict can change only when a call completes; checking there
-         (rather than at leaves alone) is what makes pruning sound: every
-         prefix is judged before its extensions are shared or discarded. *)
-      let checked =
-        completed
-        && (if property sim then true else raise (Stopped (Some sim)))
-      in
-      if depth >= max_steps_per_history then begin
-        incr truncated;
-        leaf ~checked sim
-      end
-      else
-        match moves scripts meta sim with
-        | [] -> leaf ~checked sim
-        | ms -> (
-          let descend awake =
-            ignore
-              (List.fold_left
-                 (fun explored (p, mv) ->
-                   let sim', meta', counts', mh', completed =
-                     apply_move sim meta counts mh p mv
-                   in
-                   let sleep' =
-                     child_sleep ~por ~commute ~completed ms sleep explored mv
-                   in
-                   visit sim' meta' counts' mh' sleep' (depth + 1) ~completed;
-                   Pid_set.add p explored)
-                 Pid_set.empty awake)
-          in
-          match List.filter (fun (p, _) -> not (Pid_set.mem p sleep)) ms with
-          | [] ->
-            (* Every enabled move is asleep: each is independent of some
-               already-explored sibling order, so this branch is covered by
-               a representative elsewhere; not a leaf. *)
-            incr por_prunes
-          | awake ->
-            let fresh =
-              (not dedup)
-              ||
-              (* The dedup key — never the live search state — is mapped
-                 to its orbit-canonical representative; the sleep set
-                 crosses into the same canonical coordinates before it
-                 meets the antichain (recorded entries live there too). *)
-              let cmeta, perm =
-                match sym with
-                | None -> (meta, None)
-                | Some ctx -> canonical ctx meta
-              in
-              let cmh = match perm with None -> mh | Some _ -> mh_full cmeta in
-              let csleep =
-                match perm with
-                | None -> sleep
-                | Some pi -> Pid_set.map (fun q -> pi.(q)) sleep
-              in
-              let mem = Sim.memory sim in
-              (* Prune iff a prior visit (of the orbit) had a sleep set no
-                 larger (so no fewer awake moves).  The remaining depth
-                 budget is deliberately not compared: a revisit may arrive
-                 shallower (a completed call got there in fewer spin
-                 iterations) and so see a slightly deeper horizon, but
-                 comparing budgets re-explores every spin state once per
-                 distinct arrival depth — the dominant cost on spin-heavy
-                 searches.  When no branch truncates the budget never binds
-                 and pruning is exact; when one does, the run is already
-                 reported incomplete. *)
-              let hit =
-                match store with
-                | None ->
-                  let key = { fp_mem = mem; fp_meta = cmeta } in
-                  let id =
-                    Fp_intern.intern intern
-                      ~hash:(mix (Memory.fp_hash mem) cmh)
-                      key
-                  in
-                  let entries = antichain id in
-                  if List.exists (fun sl -> Pid_set.subset sl csleep) entries
-                  then true
-                  else begin
-                    !visited.(id) <-
-                      csleep
-                      :: List.filter
-                           (fun sl -> not (Pid_set.subset csleep sl))
-                           entries;
-                    false
-                  end
-                | Some st ->
-                  let bytes = encode_key buf cmeta mem in
-                  let id = Spill.intern st ~hash:(hash_bytes bytes) bytes in
-                  let entries = Spill.chain st id in
-                  if List.exists (fun sl -> Pid_set.subset sl csleep) entries
-                  then true
-                  else begin
-                    Spill.set_chain st id
-                      (csleep
-                      :: List.filter
-                           (fun sl -> not (Pid_set.subset csleep sl))
-                           entries);
-                    false
-                  end
-              in
-              if hit then begin
-                incr dedup_hits;
-                if perm <> None then incr orbit_hits;
-                false
-              end
-              else true
+    if depth >= max_steps_per_history then begin
+      incr truncated;
+      leaf ~checked sim
+    end
+    else
+      match moves scripts meta sim with
+      | [] -> leaf ~checked sim
+      | ms -> (
+        let descend awake =
+          ignore
+            (List.fold_left
+               (fun explored (p, mv) ->
+                 let sim', meta', counts', mh', completed =
+                   apply_move sim meta counts mh p mv
+                 in
+                 let sleep' =
+                   child_sleep ~por ~commute ~completed ms sleep explored mv
+                 in
+                 visit sim' meta' counts' mh' sleep' (depth + 1) ~completed;
+                 Pid_set.add p explored)
+               Pid_set.empty awake)
+        in
+        match List.filter (fun (p, _) -> not (Pid_set.mem p sleep)) ms with
+        | [] ->
+          (* Every enabled move is asleep: each is independent of some
+             already-explored sibling order, so this branch is covered by a
+             representative elsewhere; not a leaf. *)
+          incr por_prunes
+        | awake ->
+          let fresh =
+            (not dedup)
+            ||
+            (* The dedup key — never the live search state — is mapped to
+               its orbit-canonical representative; the sleep set crosses
+               into the same canonical coordinates before it meets the
+               antichain (recorded entries live there too). *)
+            let cmeta, perm =
+              match sym with
+              | None -> (meta, None)
+              | Some ctx -> canonical ctx meta
             in
-            if fresh then descend awake)
-    in
-    let violation, capped =
-      if max_histories <= 0 then (None, true)
-      else
-        match
-          visit sim0 (meta0 n) (Array.make n 0) (mh0 n) Pid_set.empty 0
-            ~completed:false
-        with
-        | () -> (None, false)
-        | exception Stopped v -> (v, v = None)
-    in
-    let fp_distinct, fp_collisions, fp_resizes, fp_slots, spill_segments,
-        spill_reloads =
-      match store with
-      | None ->
-        ( Fp_intern.distinct intern,
-          Fp_intern.collisions intern,
-          Fp_intern.resizes intern,
-          Fp_intern.slots intern,
-          0,
-          0 )
-      | Some st ->
-        ( Spill.distinct st,
-          Spill.collisions st,
-          Spill.resizes st,
-          Spill.slots st,
-          Spill.spilled st,
-          Spill.reloads st )
-    in
-    (* [wall_s] is computed in exactly one place — here — and every other
-       reading of the elapsed time (the [explore_wall_seconds] metric) is
-       derived from the stats field itself, so the two can never
-       disagree. *)
+            let cmh = match perm with None -> mh | Some _ -> mh_full cmeta in
+            let csleep =
+              match perm with
+              | None -> sleep
+              | Some pi -> Pid_set.map (fun q -> pi.(q)) sleep
+            in
+            let mem = Sim.memory sim in
+            let id =
+              Fp_intern.intern intern
+                ~hash:(mix (Memory.fp_hash mem) cmh)
+                { fp_mem = mem; fp_meta = cmeta }
+            in
+            let entries = antichain id in
+            (* Prune iff a prior visit (of the orbit) had a sleep set no
+               larger (so no fewer awake moves).  The remaining depth budget
+               is deliberately not compared: a revisit may arrive shallower
+               (a completed call got there in fewer spin iterations) and so
+               see a slightly deeper horizon, but comparing budgets
+               re-explores every spin state once per distinct arrival depth
+               — the dominant cost on spin-heavy searches.  When no branch
+               truncates the budget never binds and pruning is exact; when
+               one does, the run is already reported incomplete. *)
+            if List.exists (fun sl -> Pid_set.subset sl csleep) entries
+            then begin
+              incr dedup_hits;
+              if perm <> None then incr orbit_hits;
+              false
+            end
+            else begin
+              !visited.(id) <-
+                csleep
+                :: List.filter
+                     (fun sl -> not (Pid_set.subset csleep sl))
+                     entries;
+              true
+            end
+          in
+          if fresh then descend awake)
+  in
+  let violation, capped =
+    if max_histories <= 0 then (None, true)
+    else
+      match
+        visit sim0 (meta0 n) (Array.make n 0) (mh0 n) Pid_set.empty 0
+          ~completed:false
+      with
+      | () -> (None, false)
+      | exception Stopped v -> (v, v = None)
+  in
+  (* [wall_s] is computed in exactly one place — here — and every other
+     reading of the elapsed time (the [explore_wall_seconds] metric) is
+     derived from the stats field itself, so the two can never disagree. *)
+  let result =
     { histories = !histories;
       truncated = !truncated;
       complete = violation = None && (not capped) && !truncated = 0;
@@ -905,39 +788,11 @@ let check ?tracer ?(max_histories = 1_000_000) ?(max_steps_per_history = 500)
           tasks = 1;
           max_depth = !maxd;
           orbit_hits = !orbit_hits;
-          fp_distinct;
-          fp_collisions;
-          fp_resizes;
-          fp_slots;
-          spill_segments;
-          spill_reloads;
+          fp_distinct = Fp_intern.distinct intern;
+          fp_collisions = Fp_intern.collisions intern;
+          fp_resizes = Fp_intern.resizes intern;
+          fp_slots = Fp_intern.slots intern;
           wall_s = Obs.Clock.elapsed_s ~since:t0 } }
-  in
-  let result =
-    match mem_budget with
-    | None -> search None
-    | Some budget ->
-      let base =
-        match spill_dir with
-        | Some d -> d
-        | None ->
-          Filename.concat (Filename.get_temp_dir_name ())
-            "separation-explore-spill"
-      in
-      let dir = make_spill_dir base in
-      let st =
-        Spill.create ~dir ~seg_keys:spill_seg_keys ~budget_bytes:(max 0 budget)
-          ~chain_zero:[] ~chain_bytes:antichain_bytes ()
-      in
-      (* Every exit path — verdict, violation, cap or exception — removes
-         the run's files and directory, then the base if it is now empty
-         (best-effort: another search may still be using it). *)
-      Fun.protect
-        ~finally:(fun () ->
-          Spill.cleanup st;
-          (try Sys.rmdir dir with Sys_error _ -> ());
-          try Sys.rmdir base with Sys_error _ -> ())
-        (fun () -> search (Some st))
   in
   (* The span's ticks are synthetic (states explored), a deterministic
      stand-in for time; wall time goes only into the metric. *)

@@ -58,12 +58,6 @@ type stats = {
   fp_slots : int;
       (** intern-table slot capacity; [fp_distinct /. fp_slots] is the
           occupancy *)
-  spill_segments : int;
-      (** segment files written by the spill store ([mem_budget] runs
-          only; rewrites of reloaded dirty segments included) *)
-  spill_reloads : int;
-      (** spilled segments read back on a probe miss ([mem_budget] runs
-          only) *)
   wall_s : float;
       (** elapsed seconds on the monotonic {e wall} clock ({!Obs.Clock},
           not [Sys.time], which measures CPU time); the only field that
@@ -120,9 +114,6 @@ val check :
   ?lean:bool ->
   ?jobs:int ->
   ?symmetry:Sim.Pid_set.t ->
-  ?mem_budget:int ->
-  ?spill_dir:string ->
-  ?spill_seg_keys:int ->
   layout:Var.layout ->
   model:Cost_model.t ->
   n:int ->
@@ -177,26 +168,6 @@ val check :
     permutation, as Specification 4.1 is.  The verdict ([violation]
     presence, [complete]) is unchanged by a sound [symmetry]; [states],
     [dedup_hits] and [histories] legitimately shrink.
-
-    [mem_budget] (bytes) switches the dedup tables to byte-encoded keys in
-    a segmented, LRU-windowed {!Spill} store: segments beyond the budget
-    page out, in segments of [spill_seg_keys] (default 4096) keys, to
-    files in a fresh directory of this search's own under [spill_dir]
-    (default: a "separation-explore-spill" directory under the system
-    temp dir), and are read back on probe misses.  The directory is
-    created with an exclusive [mkdir] under a random name, so concurrent
-    searches may share a [spill_dir]; it is removed on every exit path
-    (verdict, violation, cap or exception), together with [spill_dir]
-    itself if that is then empty.  A directory that cannot be created
-    raises [Failure] naming the path and the cause.  The byte encoding
-    is faithful to the structural key equality, so every dedup decision —
-    and hence the verdict and every search counter ([states],
-    [dedup_hits], [orbit_hits], [histories], …) — is byte-identical to
-    an unbudgeted run; only the intern-table diagnostics
-    ([fp_collisions], [fp_resizes], [fp_slots]) change, because they now
-    describe the byte-key index, and [spill_segments]/[spill_reloads]
-    become meaningful.  Two budgeted runs differing only in the budget
-    agree on everything except those two spill counters.
 
     With [tracer], one {!Obs.Event.Explore_task} span (task 0) is emitted
     when the search ends, with synthetic ticks (0 to [states]) — so the

@@ -222,42 +222,7 @@ let comparable (r : Explore.result) =
     ( s.Explore.fp_distinct,
       s.Explore.fp_collisions,
       s.Explore.fp_resizes,
-      s.Explore.fp_slots,
-      s.Explore.spill_segments,
-      s.Explore.spill_reloads ) )
-
-(* Same, minus the two spill counters — the only fields on which two
-   budgeted runs with different budgets may differ. *)
-let comparable_no_spill (r : Explore.result) =
-  let s = r.Explore.stats in
-  ( ( r.Explore.histories,
-      r.Explore.truncated,
-      r.Explore.complete,
-      Option.map Sim.calls r.Explore.violation ),
-    ( s.Explore.states,
-      s.Explore.dedup_hits,
-      s.Explore.por_prunes,
-      s.Explore.tasks,
-      s.Explore.max_depth,
-      s.Explore.orbit_hits ),
-    (s.Explore.fp_distinct, s.Explore.fp_collisions, s.Explore.fp_resizes) )
-
-(* The verdict and search counters only — what a budgeted (byte-keyed)
-   run must share with an in-memory run, whose intern-table diagnostics
-   (collisions, resizes, slots) describe a differently-hashed index. *)
-let comparable_search (r : Explore.result) =
-  let s = r.Explore.stats in
-  ( ( r.Explore.histories,
-      r.Explore.truncated,
-      r.Explore.complete,
-      Option.map Sim.calls r.Explore.violation ),
-    ( s.Explore.states,
-      s.Explore.dedup_hits,
-      s.Explore.por_prunes,
-      s.Explore.tasks,
-      s.Explore.max_depth,
-      s.Explore.orbit_hits,
-      s.Explore.fp_distinct ) )
+      s.Explore.fp_slots ) )
 
 let test_jobs_deterministic () =
   let layout, scripts =
@@ -626,166 +591,164 @@ let test_pinned_counts () =
     ~histories:1_387 ~states:434_220 ~dedup_hits:226_562 ~orbit_hits:0
     ~por_prunes:38_371 ~max_depth:23 ~fp_distinct:161_222
 
-(* --- spill-to-disk dedup storage --- *)
+(* --- the reduction lattice --- *)
 
-let spill_dir suffix =
-  Filename.concat (Filename.get_temp_dir_name ())
-    ("separation-test-spill-" ^ suffix)
+(* Everything an interval-order property can judge a completed call by:
+   its label, ordinal and result, and, per other process, how many of
+   that process's calls completed before this one began and how many
+   began before this one finished.  The signaler (pid 0) stays pinned;
+   the other waiters' entries form a sorted multiset, so the signature is
+   invariant under waiter permutation, as symmetry reduction requires. *)
+let call_signatures ~n sim =
+  let calls = Sim.calls sim in
+  List.filter_map
+    (fun (c : History.call) ->
+      match (c.History.c_finished, c.History.c_result) with
+      | Some finished, Some result ->
+        let relation q =
+          List.fold_left
+            (fun (completed, begun) (d : History.call) ->
+              if d.History.c_pid <> q then (completed, begun)
+              else
+                ( (match d.History.c_finished with
+                  | Some f when f < c.History.c_started -> completed + 1
+                  | Some _ | None -> completed),
+                  if d.History.c_started < finished then begun + 1 else begun ))
+            (0, 0) calls
+        in
+        let others =
+          List.sort compare
+            (List.filter_map
+               (fun q ->
+                 if q = 0 || q = c.History.c_pid then None else Some (relation q))
+               (List.init n Fun.id))
+        in
+        Some
+          ( c.History.c_pid = 0,
+            c.History.c_label,
+            c.History.c_seq,
+            result,
+            relation 0,
+            others )
+      | _ -> None)
+    calls
 
-let test_spill_determinism () =
-  let layout, scripts = scripts_for (module Cc_flag) ~n:3 ~waiters:[ 1; 2 ] ~polls:2 in
-  let run ?jobs ~budget suffix =
-    Explore.check ?jobs ~mem_budget:budget ~spill_dir:(spill_dir suffix)
-      ~spill_seg_keys:16 ~layout ~model:(Cost_model.dsm layout) ~n:3 ~scripts
-      ~property:spec_ok ()
+(* One configuration at the scope where the naive search still completes
+   (1 signaler, 2 waiters, 2 polls), searchable under any subset of the
+   four reductions: dedup, sleep-set POR, symmetry as [detect_symmetry]
+   finds it, and the static-indep facts computed from the very programs
+   the scripts run.  Each search also returns the signatures of every
+   call it saw complete ([call_signatures]). *)
+let lattice_search (module A : Signaling.POLLING) =
+  let n = 3 and waiters = [ 1; 2 ] in
+  let ctx = Var.Ctx.create () in
+  let inst =
+    Signaling.instantiate (module A) ctx
+      (Signaling.config ~n ~waiters ~signalers:[ 0 ])
   in
-  (* A budget far below the table size forces real paging; a roomy budget
-     never evicts.  Tiny segments (16 keys) make the paging heavy. *)
-  let tight = run ~budget:4096 "tight" in
-  let roomy = run ~budget:(64 * 1024 * 1024) "roomy" in
-  check_no_violation "tight budget" tight;
-  check_true "tight budget: complete" tight.Explore.complete;
-  check_true "tight budget spilled segments"
-    (tight.Explore.stats.Explore.spill_segments > 0);
-  check_true "and reloaded some" (tight.Explore.stats.Explore.spill_reloads > 0);
-  check_int "roomy budget never spilled" 0
-    roomy.Explore.stats.Explore.spill_segments;
-  check_true "identical runs modulo the spill counters"
-    (comparable_no_spill tight = comparable_no_spill roomy);
-  (* Byte-keyed dedup decisions match the in-memory structural ones. *)
-  let mem =
-    Explore.check ~layout ~model:(Cost_model.dsm layout) ~n:3 ~scripts
-      ~property:spec_ok ()
+  let layout = Var.Ctx.freeze ctx in
+  let values = Analysis.Lint.value_domain ~n ~layout in
+  let signal = (Signaling.signal_label, inst.Signaling.i_signal 0) in
+  let polls =
+    List.map
+      (fun w -> (w, (Signaling.poll_label, inst.Signaling.i_poll w)))
+      waiters
   in
-  check_int "in-memory run has no spill counters" 0
-    (mem.Explore.stats.Explore.spill_segments
-    + mem.Explore.stats.Explore.spill_reloads);
-  check_true "spilled search equals the in-memory search"
-    (comparable_search tight = comparable_search mem);
-  (* Paging is deterministic across jobs — including the spill counters
-     themselves. *)
-  let tight2 = run ~jobs:2 ~budget:4096 "tight-j2" in
-  check_true "spill counters identical at jobs=2"
-    (comparable tight2 = comparable tight)
-
-let test_spill_concurrent_runs () =
-  (* Two budgeted searches on two domains, sharing one spill base: each
-     pages into a directory of its own, so each must reproduce its solo
-     run exactly, and both must clean up after themselves. *)
-  let layout, scripts = scripts_for (module Cc_flag) ~n:3 ~waiters:[ 1; 2 ] ~polls:2 in
-  let dir = spill_dir "shared" in
-  let run () =
-    Explore.check ~mem_budget:4096 ~spill_dir:dir ~spill_seg_keys:16 ~layout
-      ~model:(Cost_model.dsm layout) ~n:3 ~scripts ~property:spec_ok ()
+  let scripts =
+    (0, Explore.of_list [ signal ])
+    :: List.map
+         (fun (w, call) ->
+           (w, Explore.repeat ~limit:2 ~until:(fun r -> r = 1) call))
+         polls
   in
-  let solo = run () in
-  check_true "the solo run pages" (solo.Explore.stats.Explore.spill_reloads > 0);
-  let d1 = Domain.spawn run and d2 = Domain.spawn run in
-  let r1 = Domain.join d1 and r2 = Domain.join d2 in
-  check_true "first concurrent run equals the solo run"
-    (comparable r1 = comparable solo);
-  check_true "second concurrent run equals the solo run"
-    (comparable r2 = comparable solo);
-  check_false "the shared base is removed once both finish"
-    (Sys.file_exists dir)
+  let symmetry = Explore.detect_symmetry ~values polls in
+  let facts =
+    Analysis.Independence.of_cfgs
+      (List.map
+         (fun (pid, (_, prog)) ->
+           ( pid,
+             Analysis.Cfg.extract ~values ~exclusive:(fun _ -> false) ~pid prog
+           ))
+         ((0, signal) :: polls))
+  in
+  let search (dedup, por, sym, indep) =
+    let seen = Hashtbl.create 64 in
+    let property sim =
+      List.iter (fun s -> Hashtbl.replace seen s ()) (call_signatures ~n sim);
+      spec_ok sim
+    in
+    let r =
+      Explore.check ~dedup ~por
+        ~symmetry:(if sym then symmetry else Sim.Pid_set.empty)
+        ~commute:
+          (if indep then Analysis.Independence.commute facts else Op.commute)
+        ~layout ~model:(Cost_model.dsm layout) ~n ~scripts ~property ()
+    in
+    (r, List.sort compare (List.of_seq (Hashtbl.to_seq_keys seen)))
+  in
+  (search, Sim.Pid_set.cardinal symmetry)
 
-let test_spill_dir_errors () =
-  (* A spill base that cannot exist (under a regular file) is a clear
-     error, not an uncaught [Sys_error] from deep inside the search. *)
-  let file = Filename.temp_file "separation-test-spill" ".file" in
-  let layout, scripts = scripts_for (module Cc_flag) ~n:3 ~waiters:[ 1; 2 ] ~polls:2 in
-  let outcome =
+(* All 16 subsets against the naive search (every reduction off): each
+   must reach the naive verdict, exhaustively on the correct algorithms,
+   and the mutant must be caught under each.
+
+   A verdict alone is weak evidence on a correct algorithm: a reduction
+   that prunes too much still finds no violation.  So each subset must
+   also see every call signature the naive search sees.  A signature
+   nobody saw would make "no call completes with this signature" a
+   property within the soundness contract that the naive search
+   falsifies and the reduced one does not.
+
+   A reduction with nothing to act on is a no-op — symmetry canonicalizes
+   only dedup keys, the static facts feed only the POR — so such a subset
+   must also match the subset without it on every field. *)
+let test_reduction_lattice () =
+  let subsets =
+    List.init 16 (fun i ->
+        (i land 8 <> 0, i land 4 <> 0, i land 2 <> 0, i land 1 <> 0))
+  in
+  let name (dedup, por, sym, indep) =
     match
-      Explore.check ~mem_budget:4096 ~spill_dir:(Filename.concat file "sub")
-        ~layout ~model:(Cost_model.dsm layout) ~n:3 ~scripts ~property:spec_ok
-        ()
+      List.filter_map
+        (fun (on, s) -> if on then Some s else None)
+        [ (dedup, "dedup"); (por, "por"); (sym, "symmetry"); (indep, "indep") ]
     with
-    | _ -> None
-    | exception Failure msg -> Some msg
+    | [] -> "naive"
+    | l -> String.concat "+" l
   in
-  Sys.remove file;
-  match outcome with
-  | None -> Alcotest.fail "an impossible spill directory was accepted"
-  | Some msg ->
-    check_true ("a clear error: " ^ msg)
-      (String.starts_with ~prefix:"Explore.check: cannot create a spill \
-                                   directory" msg)
-
-let test_spill_store_basics () =
-  (* Unit-level: dense first-seen ids survive paging; reloads hand back
-     exact key bytes and the latest payload. *)
-  let dir = spill_dir "unit" in
-  let t =
-    Spill.create ~dir ~seg_keys:16 ~budget_bytes:1 ~chain_zero:0
-      ~chain_bytes:(fun _ -> 8)
-      ()
+  let lattice ?naive_histories algo ~safe ~sym_pids =
+    let search, pids = lattice_search algo in
+    check_int "symmetric waiters detected" sym_pids pids;
+    let runs = List.map (fun sub -> (sub, search sub)) subsets in
+    let result sub = fst (List.assoc sub runs) in
+    let naive, naive_sigs = List.assoc (false, false, false, false) runs in
+    Option.iter
+      (fun h -> check_int "naive histories" h naive.Explore.histories)
+      naive_histories;
+    List.iter
+      (fun (((dedup, por, sym, indep) as sub), ((r : Explore.result), sigs)) ->
+        let name = name sub in
+        if safe then begin
+          check_no_violation name r;
+          check_true (name ^ ": complete") r.Explore.complete;
+          check_true (name ^ ": every naive call signature seen")
+            (sigs = naive_sigs)
+        end
+        else
+          check_true (name ^ ": mutation caught") (r.Explore.violation <> None);
+        if sym && not dedup then
+          check_true (name ^ ": symmetry without dedup is a no-op")
+            (comparable r
+            = comparable (result (dedup, por, false, indep)));
+        if indep && not por then
+          check_true (name ^ ": static facts without POR are a no-op")
+            (comparable r
+            = comparable (result (dedup, por, sym, false))))
+      runs
   in
-  let key i = Printf.sprintf "key-%04d-%s" i (String.make 40 'x') in
-  let ids = Array.init 200 (fun i -> Spill.intern t ~hash:(i * 7919) (key i)) in
-  check_true "dense first-seen ids" (Array.to_list ids = List.init 200 Fun.id);
-  check_true "eviction happened" (Spill.spilled t > 0);
-  Spill.set_chain t 3 42;
-  for i = 0 to 199 do
-    check_int (Printf.sprintf "re-intern %d is stable" i) i
-      (Spill.intern t ~hash:(i * 7919) (key i))
-  done;
-  check_int "re-interning adds nothing" 200 (Spill.distinct t);
-  check_true "probe misses reloaded segments" (Spill.reloads t > 0);
-  check_int "payload update survives paging" 42 (Spill.chain t 3);
-  check_int "untouched payload keeps its zero" 0 (Spill.chain t 7);
-  check_true "key bytes round-trip exactly" (String.equal (Spill.key t 3) (key 3));
-  Spill.cleanup t;
-  check_false "cleanup removes the spill directory" (Sys.file_exists dir)
-
-let test_spill_store_corruption () =
-  (* Segment files are validated before they are unmarshalled: a
-     truncated file, a valid file of another segment copied over this
-     one's, and garbage bytes are each reported as a clear error — as is a
-     write that fails. *)
-  let dir = spill_dir "corrupt" in
-  let t =
-    Spill.create ~dir ~seg_keys:16 ~budget_bytes:1 ~chain_zero:0
-      ~chain_bytes:(fun _ -> 8)
-      ()
-  in
-  let key i = Printf.sprintf "key-%04d-%s" i (String.make 40 'x') in
-  for i = 0 to 99 do
-    ignore (Spill.intern t ~hash:(i * 7919) (key i))
-  done;
-  (* ids 0..95 fill segments 0..5, all paged out under a 1-byte budget;
-     segment 6 is still filling and stays resident *)
-  let seg i = Filename.concat dir (Printf.sprintf "seg%06d.bin" i) in
-  let read path = In_channel.with_open_bin path In_channel.input_all in
-  let write path s = Out_channel.with_open_bin path (fun oc -> output_string oc s) in
-  let whole = read (seg 1) in
-  write (seg 1) (String.sub whole 0 (String.length whole / 2));
-  write (seg 2) (read (seg 3));
-  write (seg 4) (String.make (String.length (read (seg 4))) 'z');
-  let rejected what id =
-    match Spill.key t id with
-    | _ -> Alcotest.failf "%s: segment accepted" what
-    | exception Failure msg ->
-      check_true
-        (Printf.sprintf "%s: a clear error (%s)" what msg)
-        (String.starts_with ~prefix:"Explore.check: spill segment " msg)
-  in
-  rejected "truncated" 20;
-  rejected "another segment's file" 40;
-  rejected "garbage" 70;
-  check_true "intact segments still reload" (String.equal (Spill.key t 50) (key 50));
-  (* The spill directory vanishes: the next eviction cannot write. *)
-  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  Sys.rmdir dir;
-  (match
-     for i = 100 to 199 do
-       ignore (Spill.intern t ~hash:(i * 7919) (key i))
-     done
-   with
-  | () -> Alcotest.fail "a failed segment write went unreported"
-  | exception Failure msg ->
-    check_true ("a failed write is a clear error: " ^ msg)
-      (String.starts_with ~prefix:"Explore.check: spill segment " msg));
-  Spill.cleanup t
+  lattice (module Cc_flag) ~safe:true ~naive_histories:2_532 ~sym_pids:2;
+  lattice (module Dsm_broadcast) ~safe:true ~naive_histories:27_478 ~sym_pids:0;
+  lattice (module Broken_cc_flag) ~safe:false ~sym_pids:2
 
 (* --- stats plumbing --- *)
 
@@ -852,13 +815,8 @@ let suite =
       test_symmetry_mutation_caught;
     case "4 waiters under symmetry: identical at every jobs"
       test_symmetry_jobs_deterministic;
-    case "spilled search identical to in-memory" test_spill_determinism;
     case "exact search counts at the benchmark scopes" test_pinned_counts;
-    case "concurrent spilled searches share a base safely"
-      test_spill_concurrent_runs;
-    case "unusable spill directory is a clear error" test_spill_dir_errors;
-    case "spill store: ids and payloads survive paging" test_spill_store_basics;
-    case "spill store: corrupt segments and failed writes are reported"
-      test_spill_store_corruption;
+    case "reduction lattice: every subset reaches the naive verdict"
+      test_reduction_lattice;
     case "intern-table stats exposed and sane" test_fp_stats_exposed;
     case "wall-clock metric has a single source" test_wall_metric_single_source ]
