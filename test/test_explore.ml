@@ -416,6 +416,19 @@ let test_detect_symmetry () =
   in
   check_int "Ll declines detection" 0 (Sim.Pid_set.cardinal lsym)
 
+(* With fewer than two candidates nothing is compared: the set is empty
+   even though the lone waiter's program is as symmetric as any.  The
+   explore CLI reports this case as "not applicable", not as a declined
+   comparison. *)
+let test_detect_symmetry_needs_two () =
+  let _, _, one = scripts_sym (module Cc_flag) ~n:2 ~waiters:[ 1 ] ~polls:2 in
+  check_int "one waiter: empty set" 0 (Sim.Pid_set.cardinal one);
+  check_int "no candidates: empty set" 0
+    (Sim.Pid_set.cardinal (Explore.detect_symmetry ~values:[ 0; 1 ] []));
+  let _, _, two = scripts_sym (module Cc_flag) ~n:3 ~waiters:[ 1; 2 ] ~polls:2 in
+  check_int "a second waiter makes the pair comparable" 2
+    (Sim.Pid_set.cardinal two)
+
 let test_canonicalization_laws () =
   let open Explore.Testing in
   let symmetry =
@@ -688,67 +701,90 @@ let lattice_search (module A : Signaling.POLLING) =
   in
   (search, Sim.Pid_set.cardinal symmetry)
 
-(* All 16 subsets against the naive search (every reduction off): each
-   must reach the naive verdict, exhaustively on the correct algorithms,
-   and the mutant must be caught under each.
+(* All 16 subsets of the four reductions, and a readable name for each. *)
+let lattice_subsets =
+  List.init 16 (fun i ->
+      (i land 8 <> 0, i land 4 <> 0, i land 2 <> 0, i land 1 <> 0))
 
-   A verdict alone is weak evidence on a correct algorithm: a reduction
-   that prunes too much still finds no violation.  So each subset must
-   also see every call signature the naive search sees.  A signature
-   nobody saw would make "no call completes with this signature" a
-   property within the soundness contract that the naive search
-   falsifies and the reduced one does not.
+let subset_name (dedup, por, sym, indep) =
+  match
+    List.filter_map
+      (fun (on, s) -> if on then Some s else None)
+      [ (dedup, "dedup"); (por, "por"); (sym, "symmetry"); (indep, "indep") ]
+  with
+  | [] -> "naive"
+  | l -> String.concat "+" l
 
-   A reduction with nothing to act on is a no-op — symmetry canonicalizes
+(* Every subset's search of one algorithm, run once and shared by the
+   lattice cases below; the detected symmetric-waiter count rides along. *)
+let lattice_runs algo =
+  lazy
+    (let search, pids = lattice_search algo in
+     (List.map (fun sub -> (sub, search sub)) lattice_subsets, pids))
+
+let cc_flag_lattice = lattice_runs (module Cc_flag)
+let broadcast_lattice = lattice_runs (module Dsm_broadcast)
+let broken_lattice = lattice_runs (module Broken_cc_flag)
+
+(* Each subset must reach the naive (every reduction off) verdict,
+   exhaustively.  A verdict alone is weak evidence on a correct
+   algorithm: a reduction that prunes too much still finds no violation.
+   So each subset must also see every call signature the naive search
+   sees.  A signature nobody saw would make "no call completes with this
+   signature" a property within the soundness contract that the naive
+   search falsifies and the reduced one does not. *)
+let check_safe_lattice runs ~naive_histories ~sym_pids =
+  let runs, pids = Lazy.force runs in
+  check_int "symmetric waiters detected" sym_pids pids;
+  let naive, naive_sigs = List.assoc (false, false, false, false) runs in
+  check_int "naive histories" naive_histories naive.Explore.histories;
+  List.iter
+    (fun (sub, ((r : Explore.result), sigs)) ->
+      let name = subset_name sub in
+      check_no_violation name r;
+      check_true (name ^ ": complete") r.Explore.complete;
+      check_true (name ^ ": every naive call signature seen")
+        (sigs = naive_sigs))
+    runs
+
+let test_lattice_cc_flag () =
+  check_safe_lattice cc_flag_lattice ~naive_histories:2_532 ~sym_pids:2
+
+let test_lattice_broadcast () =
+  check_safe_lattice broadcast_lattice ~naive_histories:27_478 ~sym_pids:0
+
+let test_lattice_mutant () =
+  let runs, pids = Lazy.force broken_lattice in
+  check_int "symmetric waiters detected" 2 pids;
+  List.iter
+    (fun (sub, ((r : Explore.result), _)) ->
+      check_true
+        (subset_name sub ^ ": mutation caught")
+        (r.Explore.violation <> None))
+    runs
+
+(* A reduction with nothing to act on is a no-op — symmetry canonicalizes
    only dedup keys, the static facts feed only the POR — so such a subset
-   must also match the subset without it on every field. *)
-let test_reduction_lattice () =
-  let subsets =
-    List.init 16 (fun i ->
-        (i land 8 <> 0, i land 4 <> 0, i land 2 <> 0, i land 1 <> 0))
-  in
-  let name (dedup, por, sym, indep) =
-    match
-      List.filter_map
-        (fun (on, s) -> if on then Some s else None)
-        [ (dedup, "dedup"); (por, "por"); (sym, "symmetry"); (indep, "indep") ]
-    with
-    | [] -> "naive"
-    | l -> String.concat "+" l
-  in
-  let lattice ?naive_histories algo ~safe ~sym_pids =
-    let search, pids = lattice_search algo in
-    check_int "symmetric waiters detected" sym_pids pids;
-    let runs = List.map (fun sub -> (sub, search sub)) subsets in
-    let result sub = fst (List.assoc sub runs) in
-    let naive, naive_sigs = List.assoc (false, false, false, false) runs in
-    Option.iter
-      (fun h -> check_int "naive histories" h naive.Explore.histories)
-      naive_histories;
-    List.iter
-      (fun (((dedup, por, sym, indep) as sub), ((r : Explore.result), sigs)) ->
-        let name = name sub in
-        if safe then begin
-          check_no_violation name r;
-          check_true (name ^ ": complete") r.Explore.complete;
-          check_true (name ^ ": every naive call signature seen")
-            (sigs = naive_sigs)
-        end
-        else
-          check_true (name ^ ": mutation caught") (r.Explore.violation <> None);
-        if sym && not dedup then
-          check_true (name ^ ": symmetry without dedup is a no-op")
-            (comparable r
-            = comparable (result (dedup, por, false, indep)));
-        if indep && not por then
-          check_true (name ^ ": static facts without POR are a no-op")
-            (comparable r
-            = comparable (result (dedup, por, sym, false))))
-      runs
-  in
-  lattice (module Cc_flag) ~safe:true ~naive_histories:2_532 ~sym_pids:2;
-  lattice (module Dsm_broadcast) ~safe:true ~naive_histories:27_478 ~sym_pids:0;
-  lattice (module Broken_cc_flag) ~safe:false ~sym_pids:2
+   must match the subset without it on every field, for the correct
+   algorithms and the mutant alike. *)
+let test_lattice_inert_reductions () =
+  List.iter
+    (fun (algo, runs) ->
+      let runs, _ = Lazy.force runs in
+      let result sub = fst (List.assoc sub runs) in
+      List.iter
+        (fun (((dedup, por, sym, indep) as sub), ((r : Explore.result), _)) ->
+          let name = algo ^ " " ^ subset_name sub in
+          if sym && not dedup then
+            check_true (name ^ ": symmetry without dedup is a no-op")
+              (comparable r = comparable (result (dedup, por, false, indep)));
+          if indep && not por then
+            check_true (name ^ ": static facts without POR are a no-op")
+              (comparable r = comparable (result (dedup, por, sym, false))))
+        runs)
+    [ ("cc-flag", cc_flag_lattice);
+      ("dsm-broadcast", broadcast_lattice);
+      ("broken-cc-flag", broken_lattice) ]
 
 (* --- stats plumbing --- *)
 
@@ -805,6 +841,8 @@ let suite =
     case "capped search identical at every jobs" test_capped_jobs_deterministic;
     case "fingerprint interning: dense stable ids" test_fp_intern_ids;
     case "symmetry detection: sound accept and decline" test_detect_symmetry;
+    case "symmetry detection: fewer than two candidates compare nothing"
+      test_detect_symmetry_needs_two;
     case "canonicalization: idempotent, orbit-invariant"
       test_canonicalization_laws;
     case "canonicalization: pinned slots never move"
@@ -816,7 +854,14 @@ let suite =
     case "4 waiters under symmetry: identical at every jobs"
       test_symmetry_jobs_deterministic;
     case "exact search counts at the benchmark scopes" test_pinned_counts;
-    case "reduction lattice: every subset reaches the naive verdict"
-      test_reduction_lattice;
+    case "reduction lattice: cc-flag, every subset reaches the naive verdict"
+      test_lattice_cc_flag;
+    case
+      "reduction lattice: dsm-broadcast, every subset reaches the naive verdict"
+      test_lattice_broadcast;
+    case "reduction lattice: broken cc-flag caught under every subset"
+      test_lattice_mutant;
+    case "reduction lattice: inert reductions change nothing"
+      test_lattice_inert_reductions;
     case "intern-table stats exposed and sane" test_fp_stats_exposed;
     case "wall-clock metric has a single source" test_wall_metric_single_source ]
