@@ -102,9 +102,9 @@ let bench_peek =
    overhead when it is off.  Both assert the traced and untraced runs
    compute identical accounting: observation never perturbs the run. *)
 let trace_scenario tracer =
-  let m = Option.get (Core.Experiment.find_algorithm "cc-flag") in
+  let m = Option.get (Core.Algorithms.find_algorithm "cc-flag") in
   let module A = (val m : Core.Signaling.POLLING) in
-  let cfg = Core.Experiment.config_for m ~n:16 in
+  let cfg = Core.Algorithms.config_for m ~n:16 in
   Core.Scenario.run_phased (module A) ~model:`Cc_wt ~cfg ?tracer ()
 
 let bench_trace_off =

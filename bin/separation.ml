@@ -16,7 +16,7 @@ let model_conv =
 
 let algo_conv =
   let parse s =
-    match Core.Experiment.find_algorithm s with
+    match Core.Algorithms.find_algorithm s with
     | Some a -> Ok a
     | None ->
       Error
@@ -72,7 +72,7 @@ let run_cmd =
           ~doc:"Emit the outcome as a stable JSON table on stdout.")
   in
   let run (module A : Core.Signaling.POLLING) model n waiters seed trace json =
-    let cfg = Core.Experiment.config_for (module A) ~n in
+    let cfg = Core.Algorithms.config_for (module A) ~n in
     let o =
       match seed with
       | Some seed -> Core.Scenario.run_random (module A) ~model ~cfg ~seed ()
@@ -137,14 +137,6 @@ let explore_cmd =
       value & opt int 1_000_000
       & info [ "cap" ] ~docv:"H" ~doc:"Maximum histories to enumerate.")
   in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"J"
-          ~doc:
-            "Accepted for compatibility; has no effect.  The search is one \
-             depth-first pass against a single dedup table.")
-  in
   let json =
     Arg.(
       value & flag
@@ -175,78 +167,37 @@ let explore_cmd =
              the waiter count.")
   in
   let run (module A : Core.Signaling.POLLING) n waiters polls signalers
-      static_indep cap jobs json no_dedup no_por no_symmetry =
-    let open Smr in
-    let ctx = Var.Ctx.create () in
-    let signaler_pids = List.init signalers (fun i -> i) in
-    let waiter_pids = List.init waiters (fun i -> i + signalers) in
+      static_indep cap json no_dedup no_por no_symmetry =
+    let pids ~from count = List.init (max 0 count) (fun i -> from + i) in
     let cfg =
-      Core.Signaling.config ~n ~waiters:waiter_pids ~signalers:signaler_pids
+      Core.Signaling.config ~n
+        ~waiters:(pids ~from:(max 0 signalers) waiters)
+        ~signalers:(pids ~from:0 signalers)
     in
-    let inst = Core.Signaling.instantiate (module A) ctx cfg in
-    let layout = Var.Ctx.freeze ctx in
-    let scripts =
-      List.map
-        (fun s ->
-          ( s,
-            Explore.of_list
-              [ (Core.Signaling.signal_label, inst.Core.Signaling.i_signal s) ]
-          ))
-        signaler_pids
-      @ List.map
-          (fun w ->
-            ( w,
-              Explore.repeat ~limit:polls
-                ~until:(fun r -> r = 1)
-                (Core.Signaling.poll_label, inst.Core.Signaling.i_poll w) ))
-          waiter_pids
+    let scope =
+      match Core.Exhaustive.make (module A) cfg ~polls with
+      | Ok scope -> scope
+      | Error msg ->
+        Fmt.epr "separation: explore: %s@." msg;
+        exit 2
     in
-    (* The facts are computed from the CFGs of the very programs the
-       scripts run, so the extended relation is sound for this search
-       (Explore.check's [commute] contract).  An incomplete unfolding
-       yields no facts and we fall back to the generic relation. *)
-    let commute =
-      if not static_indep then Op.commute
-      else begin
-        let values = Analysis.Lint.value_domain ~n ~layout in
-        let extract pid prog =
-          Analysis.Cfg.extract ~values ~exclusive:(fun _ -> false) ~pid prog
-        in
-        let cfgs =
-          List.map
-            (fun s -> (s, extract s (inst.Core.Signaling.i_signal s)))
-            signaler_pids
-          @ List.map
-              (fun w -> (w, extract w (inst.Core.Signaling.i_poll w)))
-              waiter_pids
-        in
-        let facts = Analysis.Independence.of_cfgs cfgs in
-        Fmt.epr "static-indep: %d const-write fact(s)%s@."
-          (List.length facts.Analysis.Independence.const_writes)
-          (match Analysis.Independence.fact_names ~layout facts with
-          | [] -> ""
-          | names -> ": " ^ String.concat ", " names);
-        Analysis.Independence.commute facts
-      end
+    let search =
+      { Core.Exhaustive.cap; dedup = not no_dedup; por = not no_por;
+        symmetry = not no_symmetry; static_indep }
     in
-    (* Symmetry detection runs on the waiters' poll calls — the scripts
-       wrapping them ([Explore.repeat] with identical limit/until) branch
-       only on own-process counts and results, so script symmetry follows
-       from call symmetry; Spec 4.1 is waiter-permutation-invariant by
-       construction (it reads labels, results and interval relations,
-       never pids). *)
-    let symmetry =
-      if no_symmetry then Sim.Pid_set.empty
-      else
-        Explore.detect_symmetry
-          ~values:(Analysis.Lint.value_domain ~n ~layout)
-          (List.map
-             (fun w ->
-               (w, (Core.Signaling.poll_label, inst.Core.Signaling.i_poll w)))
-             waiter_pids)
-    in
-    let sym_k = Sim.Pid_set.cardinal symmetry in
-    if not no_symmetry then
+    if static_indep then begin
+      let facts = Core.Exhaustive.facts scope in
+      Fmt.epr "static-indep: %d const-write fact(s)%s@."
+        (List.length facts.Analysis.Independence.const_writes)
+        (match
+           Analysis.Independence.fact_names
+             ~layout:(Core.Exhaustive.layout scope) facts
+         with
+        | [] -> ""
+        | names -> ": " ^ String.concat ", " names)
+    end;
+    if not no_symmetry then begin
+      let sym_k = Smr.Sim.Pid_set.cardinal (Core.Exhaustive.symmetry scope) in
       if sym_k >= 2 then
         Fmt.epr "symmetry: %d interchangeable waiter(s)@." sym_k
       else if waiters < 2 then
@@ -254,52 +205,14 @@ let explore_cmd =
       else
         Fmt.epr
           "symmetry: declined (waiter programs not interchangeable); running \
-           without reduction@.";
-    let search ~lean =
-      Explore.check ~max_histories:cap ~dedup:(not no_dedup) ~por:(not no_por)
-        ~commute ~lean ~jobs ~symmetry ~layout ~model:(Cost_model.dsm layout)
-        ~n ~scripts ~property:Core.Signaling.polling_ok ()
-    in
-    let r = search ~lean:true in
-    (* The table carries only deterministic facts: jobs and wall time stay
-       out so two runs' JSON can be byte-compared; timing goes to stderr. *)
-    let table =
-      Core.Results.make ~experiment:"explore"
-        ~title:
-          (Printf.sprintf "Exhaustive check of %s (N=%d, %d waiters)" A.name n
-             waiters)
-        ~claim:"Specification 4.1 holds on every explored interleaving"
-        ~params:
-          Core.Results.
-            [ ("algorithm", text A.name); ("n", int n); ("waiters", int waiters);
-              ("polls", int polls); ("signalers", int signalers);
-              ("cap", int cap); ("dedup", bool (not no_dedup));
-              ("por", bool (not no_por)); ("static_indep", bool static_indep);
-              ("symmetry", int sym_k) ]
-        ~columns:
-          Core.Results.
-            [ measure "histories"; measure "truncated"; measure "complete";
-              measure "violation"; measure "states"; measure "dedup_hits";
-              measure "por_prunes"; measure "tasks"; measure "max_depth";
-              measure "orbit_hits"; measure "fp_distinct";
-              measure "fp_collisions"; measure "fp_resizes";
-              measure "fp_slots" ]
-        Core.Results.
-          [ [ int r.Explore.histories; int r.Explore.truncated;
-              bool r.Explore.complete; bool (r.Explore.violation <> None);
-              int r.Explore.stats.Explore.states;
-              int r.Explore.stats.Explore.dedup_hits;
-              int r.Explore.stats.Explore.por_prunes;
-              int r.Explore.stats.Explore.tasks;
-              int r.Explore.stats.Explore.max_depth;
-              int r.Explore.stats.Explore.orbit_hits;
-              int r.Explore.stats.Explore.fp_distinct;
-              int r.Explore.stats.Explore.fp_collisions;
-              int r.Explore.stats.Explore.fp_resizes;
-              int r.Explore.stats.Explore.fp_slots ] ]
-    in
-    Fmt.epr "search took %.2fs@." r.Explore.stats.Explore.wall_s;
-    if json then print_string (Core.Results.to_json table)
+           without reduction@."
+    end;
+    let open Smr in
+    let r = Core.Exhaustive.check scope search in
+    let st = r.Explore.stats in
+    Fmt.epr "search took %.2fs@." st.Explore.wall_s;
+    if json then
+      print_string (Core.Results.to_json (Core.Exhaustive.table scope search r))
     else begin
       Fmt.pr "%s: %d histories%s, %s; %d states (%d dedup hits, %d orbit \
               hits, %d POR prunes, %d tasks, max depth %d)@."
@@ -308,34 +221,20 @@ let explore_cmd =
            Printf.sprintf " (%d spin-truncated)" r.Explore.truncated
          else "")
         (if r.Explore.complete then "exhaustive" else "capped")
-        r.Explore.stats.Explore.states r.Explore.stats.Explore.dedup_hits
-        r.Explore.stats.Explore.orbit_hits r.Explore.stats.Explore.por_prunes
-        r.Explore.stats.Explore.tasks r.Explore.stats.Explore.max_depth;
+        st.Explore.states st.Explore.dedup_hits st.Explore.orbit_hits
+        st.Explore.por_prunes st.Explore.tasks st.Explore.max_depth;
       Fmt.pr "intern: %d distinct keys, %d collisions, %d resizes, %d \
               slots@."
-        r.Explore.stats.Explore.fp_distinct
-        r.Explore.stats.Explore.fp_collisions
-        r.Explore.stats.Explore.fp_resizes r.Explore.stats.Explore.fp_slots;
-      match r.Explore.violation with
+        st.Explore.fp_distinct st.Explore.fp_collisions st.Explore.fp_resizes
+        st.Explore.fp_slots;
+      match Core.Exhaustive.witness scope search r with
       | None -> Fmt.pr "Specification 4.1 holds on every explored history.@."
       | Some sim ->
         Fmt.pr "VIOLATION FOUND:@.";
         List.iter
           (fun v -> Fmt.pr "  %a@." Core.Signaling.pp_violation v)
           (Core.Signaling.check_polling (Sim.calls sim));
-        (* The search ran lean (no per-step records), which is enough to
-           name the violated clauses above but leaves the step cells out
-           of the timeline.  The search is deterministic, so re-running it
-           with full history reaches the same first violation — pay that
-           cost only on the failure path, to render it. *)
-        let sim =
-          if not (Sim.is_lean sim) then sim
-          else
-            match (search ~lean:false).Explore.violation with
-            | Some sim -> sim
-            | None -> sim
-        in
-        Smr.Timeline.print sim
+        Timeline.print sim
     end
   in
   Cmd.v
@@ -345,7 +244,7 @@ let explore_cmd =
           configuration and check Specification 4.1.")
     Term.(
       const run $ algo $ n_arg $ waiters $ polls $ signalers $ static_indep
-      $ cap $ jobs $ json $ no_dedup $ no_por $ no_symmetry)
+      $ cap $ json $ no_dedup $ no_por $ no_symmetry)
 
 let adversary_cmd =
   let rounds =
@@ -434,7 +333,7 @@ let adversary_cmd =
 (* `trace` replays a scenario (or the adversary construction) with the
    observability layer attached and dumps the event stream.  Everything on
    stdout is keyed by the logical event clock, so the bytes are identical
-   for every --jobs level and across hosts — CI diffs them. *)
+   across runs and hosts — CI diffs them. *)
 let trace_cmd =
   let adversary =
     Arg.(
@@ -466,32 +365,21 @@ let trace_cmd =
              (counters and histograms; wall-time metrics excluded, so the \
              table is deterministic) on stderr.")
   in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"J"
-          ~doc:
-            "Domains used to render the stream.  The output bytes are \
-             identical for every value.")
-  in
   let run (module A : Core.Signaling.POLLING) model n adversary format metrics
-      jobs =
+    =
     let tr = Obs.Trace.create () in
     if adversary then
       ignore (Core.Adversary.run (module A) ~n ~tracer:tr ())
     else begin
-      let cfg = Core.Experiment.config_for (module A) ~n in
+      let cfg = Core.Algorithms.config_for (module A) ~n in
       ignore (Core.Scenario.run_phased (module A) ~model ~cfg ~tracer:tr ())
     end;
     let events = Obs.Trace.events tr in
-    (* Rendering is per-event pure, so an ordered parallel map yields the
-       same bytes as List.map. *)
-    let map f evs = Smr.Parallel.map ~jobs f evs in
     print_string
       (match format with
-      | `Jsonl -> Obs.Sink_jsonl.to_string ~map events
-      | `Chrome -> Obs.Sink_chrome.to_string ~map events
-      | `Text -> Obs.Sink_text.to_string ~map events);
+      | `Jsonl -> Obs.Sink_jsonl.to_string events
+      | `Chrome -> Obs.Sink_chrome.to_string events
+      | `Text -> Obs.Sink_text.to_string events);
     if metrics then
       Fmt.epr "%s"
         (Core.Results.to_string
@@ -503,8 +391,7 @@ let trace_cmd =
          "Re-run a scenario with the deterministic tracing layer attached \
           and dump the per-RMR event stream (JSONL, Chrome trace_event \
           JSON, or text).")
-    Term.(
-      const run $ algo $ model $ n_arg $ adversary $ format $ metrics $ jobs)
+    Term.(const run $ algo $ model $ n_arg $ adversary $ format $ metrics)
 
 (* The registry-driven table pipeline: `tables` (and its historical alias
    `experiments`) resolves ids against Core.Experiment_registry, fans the
@@ -767,51 +654,18 @@ let arrivals_conv =
     let print ppf a = Fmt.string ppf (Workload.Arrivals.spec_name a) in
     Arg.conv (parse, print)
 
-(* Build the scenario grid `load` and `profile` share: every requested k
-   times every requested algorithm, under one spec shape. *)
-let load_scenarios ~algos ~model ~ks ~seed ~polls ~signals ~signal_every
-    ~arrivals ~crash_prob ~leave_prob ~ways =
-  let algos =
-    match algos with
-    | [] ->
-      List.filter_map Core.Experiment.find_algorithm
-        [ "cc-flag"; "dsm-broadcast"; "dsm-queue" ]
-    | l -> l
-  in
-  List.concat_map
-    (fun k ->
-      let spec =
-        { Workload.Driver.default_spec with
-          seed;
-          waiters = k;
-          polls_per_waiter = polls;
-          signals;
-          signal_every =
-            (if signal_every > 0 then signal_every
-             else max 1 (4 * k / max 1 signals));
-          arrivals;
-          crash_prob;
-          leave_early_prob = leave_prob }
-      in
-      List.map
-        (fun algorithm -> Core.Loadgen.scenario ~ways ~algorithm ~model spec)
-        algos)
-    ks
-
-(* `load` runs the open-system workload driver over the flat engine: waiters
-   arrive by a seeded arrival process, poll a few times and leave (or crash),
-   while pid 0 signals on a cadence.  Stdout carries only seed-determined
-   figures — CI diffs it across runs and --jobs levels — while wall-clock
-   throughput goes to stderr and, when asked, to the --perf-out JSON. *)
-let load_cmd =
+(* The scenario grid `load` and `profile` share, with its arguments defined
+   once ([verb] names the command in the -a help): the scenarios and the
+   domain count to fan them across. *)
+let scenario_grid ~verb =
   let algos =
     Arg.(
       value
       & opt_all algo_conv []
       & info [ "a"; "algorithm" ] ~docv:"NAME"
           ~doc:
-            "Signaling algorithm(s) to drive (repeatable).  Default: \
-             cc-flag, dsm-broadcast and dsm-queue.")
+            ("Signaling algorithm(s) to " ^ verb
+           ^ " (repeatable).  Default: cc-flag, dsm-broadcast and dsm-queue."))
   in
   let ks =
     Arg.(
@@ -881,6 +735,50 @@ let load_cmd =
             "Domains to fan the scenario grid across.  Stdout bytes are \
              identical for every value.")
   in
+  (* Every requested k times every requested algorithm, under one spec
+     shape. *)
+  let grid algos model ks seed polls signals signal_every arrivals crash_prob
+      leave_prob ways jobs =
+    let algos =
+      match algos with
+      | [] ->
+        List.filter_map Core.Algorithms.find_algorithm
+          [ "cc-flag"; "dsm-broadcast"; "dsm-queue" ]
+      | l -> l
+    in
+    let scenarios =
+      List.concat_map
+        (fun k ->
+          let spec =
+            { Workload.Driver.default_spec with
+              seed;
+              waiters = k;
+              polls_per_waiter = polls;
+              signals;
+              signal_every =
+                (if signal_every > 0 then signal_every
+                 else max 1 (4 * k / max 1 signals));
+              arrivals;
+              crash_prob;
+              leave_early_prob = leave_prob }
+          in
+          List.map
+            (fun algorithm -> Core.Loadgen.scenario ~ways ~algorithm ~model spec)
+            algos)
+        ks
+    in
+    (scenarios, max 1 jobs)
+  in
+  Term.(
+    const grid $ algos $ model $ ks $ seed $ polls $ signals $ signal_every
+    $ arrivals $ crash_prob $ leave_prob $ ways $ jobs)
+
+(* `load` runs the open-system workload driver over the flat engine: waiters
+   arrive by a seeded arrival process, poll a few times and leave (or crash),
+   while pid 0 signals on a cadence.  Stdout carries only seed-determined
+   figures — CI diffs it across runs and --jobs levels — while wall-clock
+   throughput goes to stderr and, when asked, to the --perf-out JSON. *)
+let load_cmd =
   let json =
     Arg.(
       value & flag
@@ -895,14 +793,9 @@ let load_cmd =
             "Also write wall-clock figures (states/sec, bytes/process) as \
              JSON to $(docv).  Never byte-stable; keep it out of diffs.")
   in
-  let run algos model ks seed polls signals signal_every arrivals crash_prob
-      leave_prob ways jobs json perf_out =
-    let scenarios =
-      load_scenarios ~algos ~model ~ks ~seed ~polls ~signals ~signal_every
-        ~arrivals ~crash_prob ~leave_prob ~ways
-    in
+  let run (scenarios, jobs) json perf_out =
     let runs =
-      Smr.Parallel.map ~jobs:(max 1 jobs)
+      Smr.Parallel.map ~jobs
         (fun sc ->
           let r, t = Core.Loadgen.timed sc in
           (sc, r, t))
@@ -938,9 +831,7 @@ let load_cmd =
          "Drive an open-system heavy-traffic workload (arrivals, churn, \
           crashes) over the flat simulation engine and report streaming \
           RMR/latency accounting; scales to k = 10^6 waiters.")
-    Term.(
-      const run $ algos $ model $ ks $ seed $ polls $ signals $ signal_every
-      $ arrivals $ crash_prob $ leave_prob $ ways $ jobs $ json $ perf_out)
+    Term.(const run $ scenario_grid ~verb:"drive" $ json $ perf_out)
 
 (* `profile` is `load` with the counter planes armed: the same driver and
    seed stream, plus deterministic per-cell / per-pid / per-pc RMR
@@ -948,83 +839,6 @@ let load_cmd =
    (one lane per cell).  Stdout is a function of the flags alone, diffed
    by CI across runs and --jobs levels. *)
 let profile_cmd =
-  let algos =
-    Arg.(
-      value
-      & opt_all algo_conv []
-      & info [ "a"; "algorithm" ] ~docv:"NAME"
-          ~doc:
-            "Signaling algorithm(s) to profile (repeatable).  Default: \
-             cc-flag, dsm-broadcast and dsm-queue.")
-  in
-  let ks =
-    Arg.(
-      value
-      & opt_all int [ 1000 ]
-      & info [ "k"; "waiters" ] ~docv:"K"
-          ~doc:"Waiters that join over the run (repeatable).")
-  in
-  let seed =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"SEED"
-          ~doc:
-            "RNG seed; the whole stdout document is a function of the \
-             scenario grid and this seed.")
-  in
-  let polls =
-    Arg.(
-      value & opt int 2
-      & info [ "polls" ] ~docv:"P" ~doc:"Poll() budget per waiter.")
-  in
-  let signals =
-    Arg.(
-      value & opt int 8
-      & info [ "signals" ] ~docv:"S" ~doc:"Signal() calls pid 0 issues.")
-  in
-  let signal_every =
-    Arg.(
-      value & opt int 0
-      & info [ "signal-every" ] ~docv:"TICKS"
-          ~doc:
-            "Ticks between signal begins; 0 (default) spreads the signals \
-             across the arrival span.")
-  in
-  let arrivals =
-    Arg.(
-      value
-      & opt arrivals_conv (Workload.Arrivals.Poisson 2.0)
-      & info [ "arrivals" ] ~docv:"SPEC"
-          ~doc:
-            "Arrival process: $(b,uniform:GAP), $(b,poisson:MEAN) or \
-             $(b,bursty:BURST,LULL).")
-  in
-  let crash_prob =
-    Arg.(
-      value & opt float 0.0
-      & info [ "crash-prob" ] ~docv:"P"
-          ~doc:"Chance a beginning Poll() crashes mid-call.")
-  in
-  let leave_prob =
-    Arg.(
-      value & opt float 0.0
-      & info [ "leave-prob" ] ~docv:"P"
-          ~doc:"Chance a waiter leaves before exhausting its poll budget.")
-  in
-  let ways =
-    Arg.(
-      value & opt int 8
-      & info [ "ways" ] ~docv:"W"
-          ~doc:"Cache lines per process under a CC model.")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"J"
-          ~doc:
-            "Domains to fan the scenario grid across.  Stdout bytes are \
-             identical for every value.")
-  in
   let top =
     Arg.(
       value & opt int 10
@@ -1059,15 +873,10 @@ let profile_cmd =
             "Transactions recorded for --chrome-out; overflow is counted \
              on stderr, not recorded.")
   in
-  let run algos model ks seed polls signals signal_every arrivals crash_prob
-      leave_prob ways jobs top json csv chrome_out chrome_cap =
-    let scenarios =
-      load_scenarios ~algos ~model ~ks ~seed ~polls ~signals ~signal_every
-        ~arrivals ~crash_prob ~leave_prob ~ways
-    in
+  let run (scenarios, jobs) top json csv chrome_out chrome_cap =
     let indexed = List.mapi (fun i sc -> (i, sc)) scenarios in
     let runs =
-      Smr.Parallel.map ~jobs:(max 1 jobs)
+      Smr.Parallel.map ~jobs
         (fun (i, sc) ->
           let record_cells =
             if i = 0 && chrome_out <> None then Some (max 0 chrome_cap)
@@ -1111,8 +920,7 @@ let profile_cmd =
           breakdowns — the observable half of the CC/DSM separation.  \
           Byte-deterministic for a fixed seed, at any --jobs.")
     Term.(
-      const run $ algos $ model $ ks $ seed $ polls $ signals $ signal_every
-      $ arrivals $ crash_prob $ leave_prob $ ways $ jobs $ top $ json $ csv
+      const run $ scenario_grid ~verb:"profile" $ top $ json $ csv
       $ chrome_out $ chrome_cap)
 
 (* `fuzz` streams seeded random cases through the differential oracle
@@ -1244,12 +1052,12 @@ let list_cmd =
                 (Fmt.str "%a" Smr.Op.pp_primitive_class)
                 A.primitives))
           A.description)
-      Core.Experiment.polling_algorithms;
+      Core.Algorithms.polling_algorithms;
     Fmt.pr "@.Models: dsm, cc-wt, cc-wb, cc-lfcu@.";
     Fmt.pr "@.Locks (E7):@.";
     List.iter
       (fun (module L : Sync.Mutex_intf.LOCK) -> Fmt.pr "  %s@." L.name)
-      Core.Experiment.locks
+      Core.Algorithms.locks
   in
   Cmd.v
     (Cmd.info "list" ~doc:"List algorithms, cost models and locks.")

@@ -10,30 +10,13 @@
 open Smr
 open Core
 
-let spec_ok sim = Signaling.check_polling (Sim.calls sim) = []
-
-let setup (module A : Signaling.POLLING) ~n ~waiters ~polls =
-  let ctx = Var.Ctx.create () in
-  let cfg = Signaling.config ~n ~waiters ~signalers:[ 0 ] in
-  let inst = Signaling.instantiate (module A) ctx cfg in
-  let layout = Var.Ctx.freeze ctx in
-  let scripts =
-    (0, Explore.of_list [ (Signaling.signal_label, inst.Signaling.i_signal 0) ])
-    :: List.map
-         (fun w ->
-           ( w,
-             Explore.repeat ~limit:polls
-               ~until:(fun r -> r = 1)
-               (Signaling.poll_label, inst.Signaling.i_poll w) ))
-         waiters
-  in
-  (layout, scripts)
-
-let verify name (module A : Signaling.POLLING) ~n ~waiters ~polls =
-  let layout, scripts = setup (module A) ~n ~waiters ~polls in
+let verify name algo ~n ~waiters ~polls =
   let r =
-    Explore.check ~layout ~model:(Cost_model.dsm layout) ~n ~scripts
-      ~property:spec_ok ()
+    match
+      Exhaustive.make algo (Signaling.config ~n ~waiters ~signalers:[ 0 ]) ~polls
+    with
+    | Ok scope -> Exhaustive.check scope Exhaustive.default_search
+    | Error msg -> invalid_arg msg
   in
   Fmt.pr "  %-16s %8d histories%s%s -> %s@." name r.Explore.histories
     (if r.Explore.truncated > 0 then

@@ -1,7 +1,6 @@
 (** The algorithm catalog: every shipped signaling algorithm, lock and GME
     algorithm, with the standard configurations the experiments and the CLI
-    share.  (Moved out of {!Experiment}, which is now a thin façade over
-    the experiment registry.) *)
+    share. *)
 
 module Queue_multi_signaler : Signaling.POLLING
 (** [Multi_signaler.Make (Dsm_queue)]: the Section 7 many-signalers

@@ -115,22 +115,14 @@ let elaborate_programs ~n ~cells ~calls =
   in
   { r_n = n; r_layout = layout; r_calls }
 
-(* A fresh instance of a catalog signaling algorithm; shared by the script
-   elaboration and the exploration oracle. *)
-let script_instance ~n ~algorithm =
-  match Core.Experiment.find_algorithm algorithm with
-  | None -> None
+let elaborate_script ~n ~algorithm ~polls =
+  match Core.Algorithms.find_algorithm algorithm with
+  | None -> invalid_arg ("Fuzz.Case: unknown algorithm " ^ algorithm)
   | Some (module A : Core.Signaling.POLLING) ->
-    let cfg = Core.Experiment.config_for (module A) ~n in
+    let cfg = Core.Algorithms.config_for (module A) ~n in
     let ctx = Var.Ctx.create () in
     let inst = Core.Signaling.instantiate (module A) ctx cfg in
-    Some (cfg, inst, Var.Ctx.freeze ctx)
-
-let elaborate_script ~n ~algorithm ~polls =
-  match script_instance ~n ~algorithm with
-  | None -> invalid_arg ("Fuzz.Case: unknown algorithm " ^ algorithm)
-  | Some (cfg, inst, layout) ->
-    let n = cfg.Core.Signaling.n in
+    let layout = Var.Ctx.freeze ctx in
     let polls = max 1 polls in
     let r_calls =
       Array.init n (fun p ->

@@ -53,13 +53,6 @@ val elaborate : t -> runnable
     unknown algorithm or registry-entry name (the registry must be
     populated first — see {!Core.Lint_catalog.register}). *)
 
-val script_instance :
-  n:int ->
-  algorithm:string ->
-  (Core.Signaling.config * Core.Signaling.instance * Var.layout) option
-(** A fresh instance of a catalog signaling algorithm, for oracles that
-    need the raw Poll/Signal programs (the exploration oracle). *)
-
 val pp_decision : decision Fmt.t
 val pp : t Fmt.t
 val to_string : t -> string

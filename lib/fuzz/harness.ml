@@ -47,7 +47,7 @@ let profile_for cfg =
   let algorithms =
     List.map
       (fun (module A : Core.Signaling.POLLING) -> A.name)
-      Core.Experiment.polling_algorithms
+      Core.Algorithms.polling_algorithms
   in
   let entries =
     List.filter_map

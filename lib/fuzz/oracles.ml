@@ -281,30 +281,19 @@ let por_vs_nopor (case : Case.t) =
        two polls.  POR + dedup against the literal enumeration on the
        same scope must reach the same Spec 4.1 verdict. *)
     let polls = min (max 1 polls) 2 in
-    match Case.script_instance ~n:2 ~algorithm with
-    | None -> Skip
-    | Some (cfg, inst, layout) ->
+    let scope algo =
+      Core.Exhaustive.make algo (Core.Algorithms.config_for algo ~n:2) ~polls
+    in
+    match Option.map scope (Core.Algorithms.find_algorithm algorithm) with
+    | None | Some (Error _) -> Skip
+    | Some (Ok scope) ->
+      let layout = Core.Exhaustive.layout scope in
       let model = Cost_model.dsm layout in
-      let scripts =
-        List.map
-          (fun s ->
-            ( s,
-              Explore.of_list
-                [ (Core.Signaling.signal_label, inst.Core.Signaling.i_signal s)
-                ] ))
-          cfg.Core.Signaling.signalers
-        @ List.map
-            (fun w ->
-              ( w,
-                Explore.repeat ~limit:polls
-                  ~until:(fun r -> r = 1)
-                  (Core.Signaling.poll_label, inst.Core.Signaling.i_poll w) ))
-            cfg.Core.Signaling.waiters
-      in
+      let scripts = Core.Exhaustive.scripts scope in
       let property sim = Core.Signaling.check_polling (Sim.calls sim) = [] in
       let run ~dedup ~por =
         Explore.check ~max_histories:50_000 ~max_steps_per_history:300 ~dedup
-          ~por ~layout ~model ~n:cfg.Core.Signaling.n ~scripts ~property ()
+          ~por ~layout ~model ~n:2 ~scripts ~property ()
       in
       let reduced = run ~dedup:true ~por:true in
       let naive = run ~dedup:false ~por:false in

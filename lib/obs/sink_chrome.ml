@@ -1,7 +1,7 @@
 (* Chrome trace_event sink (the JSON loaded by chrome://tracing and
    Perfetto).  Logical simulator ticks are reported as microseconds, so
    the viewer's time axis *is* the event clock — wall time never appears
-   and the file is byte-identical across hosts and [--jobs].
+   and the file is byte-identical across hosts.
 
    Track layout (chrome "pid" = track group, "tid" = lane):
      pid 0 "machine"    tid = simulator pid (op slices, call B/E, instants)
@@ -161,9 +161,9 @@ let metadata events =
   in
   machine_meta @ adversary_meta @ explore_meta @ runner_meta
 
-let to_string ?(map = List.map) events =
+let to_string events =
   let head = metadata events in
-  let body = List.filter (fun s -> s <> "") (map render events) in
+  let body = List.filter (fun s -> s <> "") (List.map render events) in
   "{\"traceEvents\":[" ^ String.concat "," (head @ body) ^ "]}\n"
 
 (* --- the cells track group ---

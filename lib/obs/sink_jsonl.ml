@@ -1,6 +1,6 @@
 (* JSONL sink: one event per line, fixed key order per event kind, so the
-   stream is byte-stable and diffable (the golden fixture and the CI
-   jobs-invariance check rely on this). *)
+   stream is byte-stable and diffable (the golden fixture relies on
+   this). *)
 
 let i = string_of_int
 
@@ -56,5 +56,5 @@ let line (ev : Event.t) =
         ("experiment", str e.experiment); ("tables", i e.tables);
         ("rows", i e.rows) ]
 
-let to_string ?(map = List.map) events =
-  String.concat "" (map (fun ev -> line ev ^ "\n") events)
+let to_string events =
+  String.concat "" (List.map (fun ev -> line ev ^ "\n") events)

@@ -4,11 +4,5 @@
 val line : Event.t -> string
 (** One event as a single JSON line (no trailing newline). *)
 
-val to_string :
-  ?map:((Event.t -> string) -> Event.t list -> string list) ->
-  Event.t list ->
-  string
-(** The whole stream, newline-terminated lines.  [map] (default
-    [List.map]) renders lines and may be an order-preserving parallel map
-    — rendering is per-event pure, so any such map yields identical
-    bytes. *)
+val to_string : Event.t list -> string
+(** The whole stream, newline-terminated lines. *)

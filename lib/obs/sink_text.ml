@@ -44,5 +44,5 @@ let line (ev : Event.t) =
     Printf.sprintf "runner %s: t=[%d,%d] tables=%d rows=%d" e.experiment e.t0
       e.t1 e.tables e.rows
 
-let to_string ?(map = List.map) events =
-  String.concat "" (map (fun ev -> line ev ^ "\n") events)
+let to_string events =
+  String.concat "" (List.map (fun ev -> line ev ^ "\n") events)

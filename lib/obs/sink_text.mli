@@ -5,9 +5,5 @@
 val line : Event.t -> string
 (** One event, no trailing newline. *)
 
-val to_string :
-  ?map:((Event.t -> string) -> Event.t list -> string list) ->
-  Event.t list ->
-  string
-(** Newline-terminated lines.  [map] (default [List.map]) may be an
-    order-preserving parallel map. *)
+val to_string : Event.t list -> string
+(** Newline-terminated lines. *)

@@ -587,116 +587,3 @@ let bytes_per_process t =
     + 2
   in
   words * 8 / max 1 t.n
-
-(* --- snapshot / restore ---
-
-   The flat engine only ever moves forward, but randomized replay (the
-   differential fuzzer, and eventually exploration on the flat engine)
-   needs to return to an earlier state.  A snapshot is a deep copy of
-   every dense array plus the scalar counters: O(size + n) space and
-   time, taken rarely — the per-step hot path is untouched.  [progs] and
-   [labels] hold immutable values, so copying the arrays is enough. *)
-
-type snapshot = {
-  s_values : int array;
-  s_ll_epoch : int array;
-  s_ll_addr : int array;
-  s_ll_stamp : int array;
-  s_cache_addr : int array;
-  s_cache_stamp : int array;
-  s_cache_lru : int array;
-  s_use_clock : int array;
-  s_cc_epoch : int array;
-  s_sharers : int array;
-  s_owner : int array;
-  s_state : Bytes.t;
-  s_progs : Op.value Program.t array;
-  s_labels : string array;
-  s_seqs : int array;
-  s_started : int array;
-  s_run_rmrs : int array;
-  s_run_steps : int array;
-  s_next_seq : int array;
-  s_done_calls : int array;
-  s_rmr_cum : int array;
-  s_steps_cum : int array;
-  s_last_kind : Bytes.t;
-  s_last_val : int array;
-  s_clock : int;
-  s_total_rmrs : int;
-  s_total_messages : int;
-  s_total_steps : int;
-  s_completed_total : int;
-  s_crashed_total : int;
-}
-
-let snapshot t =
-  { s_values = Array.copy t.values;
-    s_ll_epoch = Array.copy t.ll_epoch;
-    s_ll_addr = Array.copy t.ll_addr;
-    s_ll_stamp = Array.copy t.ll_stamp;
-    s_cache_addr = Array.copy t.cache_addr;
-    s_cache_stamp = Array.copy t.cache_stamp;
-    s_cache_lru = Array.copy t.cache_lru;
-    s_use_clock = Array.copy t.use_clock;
-    s_cc_epoch = Array.copy t.cc_epoch;
-    s_sharers = Array.copy t.sharers;
-    s_owner = Array.copy t.owner;
-    s_state = Bytes.copy t.state;
-    s_progs = Array.copy t.progs;
-    s_labels = Array.copy t.labels;
-    s_seqs = Array.copy t.seqs;
-    s_started = Array.copy t.started;
-    s_run_rmrs = Array.copy t.run_rmrs;
-    s_run_steps = Array.copy t.run_steps;
-    s_next_seq = Array.copy t.next_seq;
-    s_done_calls = Array.copy t.done_calls;
-    s_rmr_cum = Array.copy t.rmr_cum;
-    s_steps_cum = Array.copy t.steps_cum;
-    s_last_kind = Bytes.copy t.last_kind;
-    s_last_val = Array.copy t.last_val;
-    s_clock = t.clock;
-    s_total_rmrs = t.total_rmrs;
-    s_total_messages = t.total_messages;
-    s_total_steps = t.total_steps;
-    s_completed_total = t.completed_total;
-    s_crashed_total = t.crashed_total }
-
-let restore t s =
-  if
-    Array.length s.s_values <> t.size
-    || Bytes.length s.s_state <> t.n
-    || Array.length s.s_cache_addr <> Array.length t.cache_addr
-    || Array.length s.s_ll_addr <> Array.length t.ll_addr
-  then invalid_arg "Flat_sim.restore: snapshot from a different machine shape";
-  let blit src dst = Array.blit src 0 dst 0 (Array.length dst) in
-  blit s.s_values t.values;
-  blit s.s_ll_epoch t.ll_epoch;
-  blit s.s_ll_addr t.ll_addr;
-  blit s.s_ll_stamp t.ll_stamp;
-  blit s.s_cache_addr t.cache_addr;
-  blit s.s_cache_stamp t.cache_stamp;
-  blit s.s_cache_lru t.cache_lru;
-  blit s.s_use_clock t.use_clock;
-  blit s.s_cc_epoch t.cc_epoch;
-  blit s.s_sharers t.sharers;
-  blit s.s_owner t.owner;
-  Bytes.blit s.s_state 0 t.state 0 t.n;
-  blit s.s_progs t.progs;
-  blit s.s_labels t.labels;
-  blit s.s_seqs t.seqs;
-  blit s.s_started t.started;
-  blit s.s_run_rmrs t.run_rmrs;
-  blit s.s_run_steps t.run_steps;
-  blit s.s_next_seq t.next_seq;
-  blit s.s_done_calls t.done_calls;
-  blit s.s_rmr_cum t.rmr_cum;
-  blit s.s_steps_cum t.steps_cum;
-  Bytes.blit s.s_last_kind 0 t.last_kind 0 t.n;
-  blit s.s_last_val t.last_val;
-  t.clock <- s.s_clock;
-  t.total_rmrs <- s.s_total_rmrs;
-  t.total_messages <- s.s_total_messages;
-  t.total_steps <- s.s_total_steps;
-  t.completed_total <- s.s_completed_total;
-  t.crashed_total <- s.s_crashed_total

@@ -131,24 +131,3 @@ val ll_valid : t -> Op.pid -> Op.addr -> bool
 val bytes_per_process : t -> int
 (** Resident engine state divided by [n]: the deterministic memory-footprint
     figure E14 reports. *)
-
-(** {1 Snapshot and restore}
-
-    Deep-copied machine images for randomized replay: the differential
-    fuzzer rewinds a run to compare engines, and exploration on the flat
-    engine needs the same primitive.  O(size + n) each — cheap because it
-    is taken per run, not per step. *)
-
-type snapshot
-
-val snapshot : t -> snapshot
-(** A deep copy of the machine's entire mutable state (memory, caches,
-    link records, call state, counters, clock). *)
-
-val restore : t -> snapshot -> unit
-(** Overwrite the machine's state with the snapshot's.  The snapshot must
-    come from a machine of the same shape (same [n], layout size, [ways]
-    and [ll_ways]); raises [Invalid_argument] otherwise.  The
-    [on_complete] callback is untouched, and so are any attached
-    {!Obs.Counters} planes: counter planes are observational (a record of
-    what executed, replays included), not machine state. *)

@@ -30,10 +30,10 @@ let fixtures =
          jsonl`, so CI can diff the command's raw output against this
          file; test_trace.ml pins the same bytes from the library side. *)
       fun () ->
-        let m = Option.get (Core.Experiment.find_algorithm "cc-flag") in
+        let m = Option.get (Core.Algorithms.find_algorithm "cc-flag") in
         let module A = (val m : Core.Signaling.POLLING) in
         let tr = Obs.Trace.create () in
-        let cfg = Core.Experiment.config_for m ~n:4 in
+        let cfg = Core.Algorithms.config_for m ~n:4 in
         let _ =
           Core.Scenario.run_phased (module A) ~model:`Dsm ~cfg ~tracer:tr ()
         in

@@ -58,7 +58,7 @@ module Neighbor_mark : Signaling.POLLING = struct
 end
 
 let test_neighbor_mark_is_correct () =
-  let cfg = Experiment.config_for (module Neighbor_mark) ~n:12 in
+  let cfg = Algorithms.config_for (module Neighbor_mark) ~n:12 in
   let o = Scenario.run_phased (module Neighbor_mark) ~model:`Dsm ~cfg () in
   check_int "no violations" 0 (List.length o.Scenario.violations);
   check_int "all learn" 0 o.Scenario.unfinished_waiters
@@ -103,14 +103,10 @@ let test_stability_horizon_insensitive () =
 
 let test_timeline_renders () =
   (* The timeline renderer: sanity over a small run. *)
-  let cfg = Experiment.config_for (module Cc_flag) ~n:3 in
+  let cfg = Algorithms.config_for (module Cc_flag) ~n:3 in
   let o = Scenario.run_phased (module Cc_flag) ~model:`Dsm ~cfg () in
   let s = Timeline.render o.Scenario.sim in
-  let contains needle =
-    let nl = String.length needle and hl = String.length s in
-    let rec at i = i + nl <= hl && (String.sub s i nl = needle || at (i + 1)) in
-    at 0
-  in
+  let contains = contains s in
   check_true "mentions every process"
     (List.for_all contains [ "p0"; "p1"; "p2" ]);
   check_true "shows a call begin" (contains "(poll");

@@ -4,7 +4,7 @@
 open Test_util
 open Core
 
-let algorithms = Experiment.polling_algorithms
+let algorithms = Algorithms.polling_algorithms
 
 let models : Scenario.model_tag list = [ `Dsm; `Cc_wt; `Cc_wb; `Cc_lfcu ]
 
@@ -22,7 +22,7 @@ let phased_cases =
                (name_of (module A))
                (Scenario.model_tag_name model))
             (fun () ->
-              let cfg = Experiment.config_for (module A) ~n:16 in
+              let cfg = Algorithms.config_for (module A) ~n:16 in
               let o = Scenario.run_phased (module A) ~model ~cfg () in
               check_int "no violations" 0 (List.length o.Scenario.violations);
               check_int "every waiter learned" 0 o.Scenario.unfinished_waiters))
@@ -37,7 +37,7 @@ let random_props =
         (Printf.sprintf "%s: spec 4.1 under random schedules" (name_of (module A)))
         QCheck.(triple (int_range 2 12) (int_bound 100_000) (int_bound 120))
         (fun (n, seed, signal_after) ->
-          let cfg = Experiment.config_for (module A) ~n in
+          let cfg = Algorithms.config_for (module A) ~n in
           let o =
             Scenario.run_random (module A) ~model:`Dsm ~cfg ~seed ~signal_after ()
           in
@@ -51,7 +51,7 @@ let random_props =
 (* --- per-algorithm complexity bounds (DSM unless noted) --- *)
 
 let test_cc_flag_waiter_bound () =
-  let cfg = Experiment.config_for (module Cc_flag) ~n:64 in
+  let cfg = Algorithms.config_for (module Cc_flag) ~n:64 in
   let o = Scenario.run_phased (module Cc_flag) ~model:`Cc_wt ~cfg () in
   check_true "CC waiter O(1)" (o.Scenario.max_waiter_rmrs <= 2);
   check_true "CC signaler O(1)" (o.Scenario.signaler_rmrs <= 2)
@@ -59,7 +59,7 @@ let test_cc_flag_waiter_bound () =
 let test_cc_flag_wait_free_bound () =
   (* Wait-freedom of the Sec. 5 solution: every Poll() is exactly one step,
      Signal() exactly one step, independent of schedule. *)
-  let cfg = Experiment.config_for (module Cc_flag) ~n:8 in
+  let cfg = Algorithms.config_for (module Cc_flag) ~n:8 in
   let o = Scenario.run_random (module Cc_flag) ~model:`Cc_wt ~cfg ~seed:5 () in
   List.iter
     (fun (c : Smr.History.call) ->
@@ -67,14 +67,14 @@ let test_cc_flag_wait_free_bound () =
     (Smr.Sim.calls o.Scenario.sim)
 
 let test_dsm_single_waiter_bound () =
-  let cfg = Experiment.config_for (module Dsm_single_waiter) ~n:64 in
+  let cfg = Algorithms.config_for (module Dsm_single_waiter) ~n:64 in
   let o = Scenario.run_phased (module Dsm_single_waiter) ~model:`Dsm ~cfg () in
   check_true "waiter O(1) worst-case" (o.Scenario.max_waiter_rmrs <= 3);
   check_true "signaler O(1) worst-case" (o.Scenario.signaler_rmrs <= 3)
 
 let test_dsm_fixed_waiters_signaler_linear () =
   let run n =
-    let cfg = Experiment.config_for (module Dsm_fixed_waiters) ~n in
+    let cfg = Algorithms.config_for (module Dsm_fixed_waiters) ~n in
     (Scenario.run_phased (module Dsm_fixed_waiters) ~model:`Dsm ~cfg ())
       .Scenario.signaler_rmrs
   in
@@ -82,13 +82,13 @@ let test_dsm_fixed_waiters_signaler_linear () =
   check_int "signaler pays W at 64" 63 (run 64)
 
 let test_dsm_fixed_waiters_zero_waiter_rmrs () =
-  let cfg = Experiment.config_for (module Dsm_fixed_waiters) ~n:32 in
+  let cfg = Algorithms.config_for (module Dsm_fixed_waiters) ~n:32 in
   let o = Scenario.run_phased (module Dsm_fixed_waiters) ~model:`Dsm ~cfg () in
   check_int "waiters never leave their module" 0 o.Scenario.max_waiter_rmrs
 
 let test_dsm_registration_amortized () =
   (* Partial participation: signaler cost tracks participants, not N. *)
-  let cfg = Experiment.config_for (module Dsm_registration) ~n:128 in
+  let cfg = Algorithms.config_for (module Dsm_registration) ~n:128 in
   let o =
     Scenario.run_phased (module Dsm_registration) ~model:`Dsm ~cfg
       ~active_waiters:(List.init 4 (fun i -> i + 1)) ()
@@ -100,7 +100,7 @@ let test_dsm_registration_amortized () =
 
 let test_dsm_queue_amortized_flat () =
   let amortized k =
-    let cfg = Experiment.config_for (module Dsm_queue) ~n:128 in
+    let cfg = Algorithms.config_for (module Dsm_queue) ~n:128 in
     let o =
       Scenario.run_phased (module Dsm_queue) ~model:`Dsm ~cfg
         ~active_waiters:(List.init k (fun i -> i + 1)) ()
@@ -110,7 +110,7 @@ let test_dsm_queue_amortized_flat () =
   check_true "flat amortized cost" (amortized 64 < amortized 2 +. 3.)
 
 let test_dsm_fixed_terminating_blocks_without_participation () =
-  let cfg = Experiment.config_for (module Dsm_fixed_terminating) ~n:16 in
+  let cfg = Algorithms.config_for (module Dsm_fixed_terminating) ~n:16 in
   check_true "signal blocks awaiting absent waiters"
     (match
        Scenario.run_phased (module Dsm_fixed_terminating) ~model:`Dsm ~cfg
@@ -220,7 +220,7 @@ let omega_w_cases =
            (name_of (module A)))
         (fun () ->
           let n = 12 in
-          let cfg = Experiment.config_for (module A) ~n in
+          let cfg = Algorithms.config_for (module A) ~n in
           let o = Scenario.run_phased (module A) ~model:`Dsm ~cfg ~pre_polls:3 () in
           let steps = Smr.Sim.steps o.Scenario.sim in
           let signal_start =
@@ -319,7 +319,7 @@ let prop_multi_signaler_random =
       o.Scenario.violations = [])
 
 let test_transformed_has_no_cas () =
-  let cfg = Experiment.config_for (module Cas_register.Transformed) ~n:8 in
+  let cfg = Algorithms.config_for (module Cas_register.Transformed) ~n:8 in
   let o = Scenario.run_phased (module Cas_register.Transformed) ~model:`Dsm ~cfg () in
   check_true "reads/writes only"
     (List.for_all

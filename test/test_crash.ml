@@ -86,7 +86,7 @@ let prop_crash_injection (module A : Signaling.POLLING) =
     QCheck.(triple (int_range 3 10) (int_bound 100_000) (int_bound 1000))
     (fun (n, seed, crash_roll) ->
       let ctx = Var.Ctx.create () in
-      let cfg = Experiment.config_for (module A) ~n in
+      let cfg = Algorithms.config_for (module A) ~n in
       let inst = Signaling.instantiate (module A) ctx cfg in
       let layout = Var.Ctx.freeze ctx in
       let sim = Sim.create ~model:(Cost_model.dsm layout) ~layout ~n in

@@ -5,25 +5,25 @@ open Test_util
 open Core
 
 let test_e1_flat () =
-  let t = Experiment.e1 ~ns:[ 2; 64 ] () in
+  let t = E1_cc_flag.table ~ns:[ 2; 64 ] () in
   ignore (Results.to_string t);
   (* Shape is asserted directly against the scenario here. *)
   let per n =
-    let cfg = Experiment.config_for (module Cc_flag) ~n in
+    let cfg = Algorithms.config_for (module Cc_flag) ~n in
     (Scenario.run_phased (module Cc_flag) ~model:`Cc_wt ~cfg ())
       .Scenario.max_waiter_rmrs
   in
   check_int "waiter cost independent of N" (per 2) (per 128)
 
 let test_e2_separation () =
-  ignore (Results.to_string (Experiment.e2 ~ns:[ 8; 16 ] ()));
+  ignore (Results.to_string (E2_adversary.table ~ns:[ 8; 16 ] ()));
   let am n = (Adversary.run (module Dsm_broadcast) ~n ()).Adversary.amortized in
   let aq n = (Adversary.run (module Dsm_queue) ~n ()).Adversary.amortized in
   check_true "read/write amortized grows" (am 32 > am 8 +. 10.);
   check_true "F&I amortized flat" (Float.abs (aq 32 -. aq 8) < 2.)
 
 let test_e3_builds () =
-  match Experiment.e3 ~n:16 ~partial:4 () with
+  match E3_landscape.tables ~n:16 ~partial:4 () with
   | [ full; partial ] ->
     check_true "full table renders" (String.length (Results.to_string full) > 0);
     check_true "partial table renders"
@@ -31,16 +31,16 @@ let test_e3_builds () =
   | _ -> Alcotest.fail "expected two tables"
 
 let test_e4_flat () =
-  ignore (Results.to_string (Experiment.e4 ~n:32 ~ks:[ 1; 8; 31 ] ()))
+  ignore (Results.to_string (E4_queue_k.table ~n:32 ~ks:[ 1; 8; 31 ] ()))
 
 let test_e5_builds () =
-  ignore (Results.to_string (Experiment.e5 ~n:16 ()))
+  ignore (Results.to_string (E5_separation.table ~n:16 ()))
 
 let test_e6_exchange_rate () =
-  ignore (Results.to_string (Experiment.e6 ~ns:[ 8 ] ()));
+  ignore (Results.to_string (E6_messages.table ~ns:[ 8 ] ()));
   (* Directory messages exceed bus messages for the same run. *)
   let messages ic =
-    let cfg = Experiment.config_for (module Cc_flag) ~n:32 in
+    let cfg = Algorithms.config_for (module Cc_flag) ~n:32 in
     (Scenario.run_phased (module Cc_flag)
        ~model:(`Cc (Smr.Cc.Write_through, ic))
        ~cfg ())
@@ -50,36 +50,36 @@ let test_e6_exchange_rate () =
     (messages Smr.Cc.Directory_precise > messages Smr.Cc.Bus)
 
 let test_e7_builds () =
-  ignore (Results.to_string (Experiment.e7 ~ns:[ 2; 4 ] ~entries:2 ()))
+  ignore (Results.to_string (E7_mutex.table ~ns:[ 2; 4 ] ~entries:2 ()))
 
 let test_e8_contention_shape () =
-  (match Experiment.e8 ~n:64 ~ks:[ 2; 16 ] () with
+  (match E8_cas.tables ~n:64 ~ks:[ 2; 16 ] () with
   | [ a; b ] ->
     ignore (Results.to_string a);
     ignore (Results.to_string b)
   | _ -> Alcotest.fail "expected two tables");
-  let cas k = Experiment.contention_total (module Cas_register) ~n:64 ~k in
-  let fai k = Experiment.contention_total (module Dsm_queue) ~n:64 ~k in
+  let cas k = E8_cas.contention_total (module Cas_register) ~n:64 ~k in
+  let fai k = E8_cas.contention_total (module Dsm_queue) ~n:64 ~k in
   (* CAS cost superlinear: per-waiter cost grows; F&I per-waiter flat. *)
   check_true "cas per-waiter grows"
     (float_of_int (cas 32) /. 32. > 2. *. (float_of_int (cas 4) /. 4.));
   check_int "fai per-waiter flat" (fai 4 / 4) (fai 32 / 32)
 
 let test_e9_builds () =
-  ignore (Results.to_string (Experiment.e9 ~n:16 ()))
+  ignore (Results.to_string (E9_rounds.table ~n:16 ()))
 
 let test_find_algorithm () =
   check_true "lookup by name"
-    (match Experiment.find_algorithm "dsm-queue" with
+    (match Algorithms.find_algorithm "dsm-queue" with
     | Some (module A : Signaling.POLLING) -> A.name = "dsm-queue"
     | None -> false);
-  check_true "unknown name" (Experiment.find_algorithm "nope" = None)
+  check_true "unknown name" (Algorithms.find_algorithm "nope" = None)
 
 let test_e1_golden () =
   (* The experiment tables are fully deterministic: pin E1's text at small
      sizes as a regression net over the whole stack (layout, scheduler,
      cost model, accounting, rendering). *)
-  let got = Results.to_string (Experiment.e1 ~ns:[ 2; 4 ] ()) in
+  let got = Results.to_string (E1_cc_flag.table ~ns:[ 2; 4 ] ()) in
   let expected =
     "E1 (Sec. 5): cc-flag under CC write-through — per-process RMRs must \
      stay O(1) as N grows\n\

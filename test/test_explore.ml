@@ -9,30 +9,25 @@ open Core
 (* The spec as an exploration property. *)
 let spec_ok sim = Signaling.check_polling (Sim.calls sim) = []
 
-(* Build scripts for an algorithm instance: each waiter performs up to
-   [polls] Poll() calls, stopping early once one returns true (the
-   Section 4 history restriction); the signaler performs one Signal(). *)
-let scripts_for (module A : Signaling.POLLING) ~n ~waiters ~polls =
-  let ctx = Var.Ctx.create () in
-  let cfg = Signaling.config ~n ~waiters ~signalers:[ 0 ] in
-  let inst = Signaling.instantiate (module A) ctx cfg in
-  let layout = Var.Ctx.freeze ctx in
-  let scripts =
-    (0, Explore.of_list [ (Signaling.signal_label, inst.Signaling.i_signal 0) ])
-    :: List.map
-         (fun w ->
-           ( w,
-             Explore.repeat ~limit:polls
-               ~until:(fun r -> r = 1)
-               (Signaling.poll_label, inst.Signaling.i_poll w) ))
-         waiters
-  in
-  (layout, scripts)
+let ok_scope = function
+  | Ok t -> t
+  | Error msg -> Alcotest.failf "bad scope: %s" msg
 
-let explore (module A : Signaling.POLLING) ~n ~waiters ~polls =
-  let layout, scripts = scripts_for (module A) ~n ~waiters ~polls in
-  Explore.check ~layout ~model:(Cost_model.dsm layout) ~n ~scripts
-    ~property:spec_ok ()
+(* The scope most searches here run: signaler 0 calls Signal() once, each
+   waiter polls until true or [polls] times. *)
+let scope algo ~n ~waiters ~polls =
+  ok_scope
+    (Exhaustive.make algo (Signaling.config ~n ~waiters ~signalers:[ 0 ]) ~polls)
+
+let scripts_for algo ~n ~waiters ~polls =
+  let t = scope algo ~n ~waiters ~polls in
+  (Exhaustive.layout t, Exhaustive.scripts t)
+
+(* Searches run without symmetry reduction unless a test names it. *)
+let no_symmetry = { Exhaustive.default_search with symmetry = false }
+
+let explore algo ~n ~waiters ~polls =
+  Exhaustive.check (scope algo ~n ~waiters ~polls) no_symmetry
 
 let check_no_violation name (r : Explore.result) =
   check_true (name ^ ": no violation") (r.Explore.violation = None);
@@ -149,28 +144,59 @@ let test_multi_signaler_exhaustive () =
      waiter: safety over the explored space; the losing signaler's remote
      spin truncates some branches. *)
   let module M = Multi_signaler.Make (Dsm_broadcast) in
-  let ctx = Var.Ctx.create () in
-  let cfg = Signaling.config ~n:3 ~waiters:[ 2 ] ~signalers:[ 0; 1 ] in
-  let inst = Signaling.instantiate (module M) ctx cfg in
-  let layout = Var.Ctx.freeze ctx in
-  let scripts =
-    [ (0, Explore.of_list [ (Signaling.signal_label, inst.Signaling.i_signal 0) ]);
-      (1, Explore.of_list [ (Signaling.signal_label, inst.Signaling.i_signal 1) ]);
-      ( 2,
-        Explore.repeat ~limit:2
-          ~until:(fun r -> r = 1)
-          (Signaling.poll_label, inst.Signaling.i_poll 2) ) ]
+  let t =
+    ok_scope
+      (Exhaustive.make (module M)
+         (Signaling.config ~n:3 ~waiters:[ 2 ] ~signalers:[ 0; 1 ])
+         ~polls:2)
   in
   (* Bounded search: the remote spin makes the space unbounded, so the cap
      governs runtime.  10k deduplicated/reduced histories cover tens of
      thousands of distinct states — comparable behavioral coverage to the
      400k raw interleavings the naive checker's budget used to buy, at a
      fraction of the time. *)
-  let r =
-    Explore.check ~max_histories:10_000 ~layout
-      ~model:(Cost_model.dsm layout) ~n:3 ~scripts ~property:spec_ok ()
-  in
+  let r = Exhaustive.check t { no_symmetry with cap = 10_000 } in
   check_no_violation "multi-signaler" r
+
+(* --- scope validation ---
+
+   A scope the search cannot run is an [Error] naming the bad parameter,
+   not an exception out of instantiation.  The scopes are the ones
+   `explore -a A -n N -k K --polls P` builds: signaler 0, waiters 1..K. *)
+
+let scope_error (module A : Signaling.POLLING) ~n ~k ~polls =
+  match
+    Exhaustive.make (module A)
+      (Signaling.config ~n ~waiters:(List.init k (fun i -> i + 1)) ~signalers:[ 0 ])
+      ~polls
+  with
+  | Ok _ -> Alcotest.failf "%s -n %d -k %d --polls %d accepted" A.name n k polls
+  | Error msg -> msg
+
+let test_scope_dsm_single_two_waiters () =
+  let msg = scope_error (module Dsm_single_waiter) ~n:2 ~k:2 ~polls:2 in
+  check_true ("names the waiter: " ^ msg) (contains msg "waiter pid 2");
+  (* In range, the single-waiter variant still refuses a second waiter. *)
+  let msg = scope_error (module Dsm_single_waiter) ~n:3 ~k:2 ~polls:2 in
+  check_true ("names the waiter bound: " ^ msg) (contains msg "at most 1 waiter")
+
+let test_scope_bad_waiter_set () =
+  let msg = scope_error (module Cc_flag) ~n:2 ~k:3 ~polls:2 in
+  check_true ("names the waiter: " ^ msg) (contains msg "waiter pid 2");
+  check_true ("names n: " ^ msg) (contains msg "2 process(es)");
+  let msg = scope_error (module Cc_flag) ~n:3 ~k:0 ~polls:2 in
+  check_true ("names the missing waiters: " ^ msg) (contains msg "waiters:");
+  match
+    Exhaustive.make (module Cc_flag)
+      (Signaling.config ~n:3 ~waiters:[ 0; 1 ] ~signalers:[ 0 ])
+      ~polls:2
+  with
+  | Ok _ -> Alcotest.fail "pid 0 accepted in both roles"
+  | Error msg -> check_true ("names the shared pid: " ^ msg) (contains msg "pid 0")
+
+let test_scope_zero_polls () =
+  let msg = scope_error (module Cc_flag) ~n:3 ~k:2 ~polls:0 in
+  check_true ("names polls: " ^ msg) (contains msg "polls = 0")
 
 (* --- reduction effectiveness, scale, and parallel determinism --- *)
 
@@ -178,12 +204,9 @@ let test_reduction_ratio () =
   (* The reference configuration of the rewrite: dedup + POR must visit at
      least 10x fewer states than the naive enumeration while returning the
      same verdict. *)
-  let layout, scripts =
-    scripts_for (module Cc_flag) ~n:3 ~waiters:[ 1; 2 ] ~polls:2
-  in
+  let t = scope (module Cc_flag) ~n:3 ~waiters:[ 1; 2 ] ~polls:2 in
   let run ~dedup ~por =
-    Explore.check ~dedup ~por ~layout
-      ~model:(Cost_model.dsm layout) ~n:3 ~scripts ~property:spec_ok ()
+    Exhaustive.check t { no_symmetry with dedup; por }
   in
   let reduced = run ~dedup:true ~por:true in
   let naive = run ~dedup:false ~por:false in
@@ -307,15 +330,24 @@ let test_lean_matches_full () =
   | Some ls, Some fs ->
     check_true "lean violation machine keeps no step records"
       (Sim.steps ls = []);
-    check_true "full violation machine keeps them" (Sim.steps fs <> [])
+    check_true "full violation machine keeps them" (Sim.steps fs <> []);
+    (* The CLI renders the lean search's violation from a full re-run. *)
+    let t = scope (module Broken_cc_flag) ~n:3 ~waiters:[ 1; 2 ] ~polls:2 in
+    let r = Exhaustive.check t no_symmetry in
+    (match Exhaustive.witness t no_symmetry r with
+    | Some ws ->
+      check_true "witness keeps step records" (Sim.steps ws <> []);
+      check_true "witness is the lean search's violation"
+        (Option.map Sim.calls r.Explore.violation = Some (Sim.calls ws))
+    | None -> Alcotest.fail "no witness for the mutant")
   | _ -> Alcotest.fail "mutation not caught on both sides"
 
 let test_fast_property_agrees () =
   (* [Signaling.polling_ok] (the allocation-free form the CLI feeds the
      explorer) must be verdict-equivalent to the violation-listing checker
      on both a correct algorithm and a broken one. *)
-  let run (module A : Signaling.POLLING) ~n ~waiters property =
-    let layout, scripts = scripts_for (module A) ~n ~waiters ~polls:2 in
+  let run algo ~n ~waiters property =
+    let layout, scripts = scripts_for algo ~n ~waiters ~polls:2 in
     Explore.check ~layout ~model:(Cost_model.dsm layout) ~n ~scripts ~property ()
   in
   let slow = run (module Broken_cc_flag) ~n:3 ~waiters:[ 1; 2 ] spec_ok in
@@ -369,32 +401,12 @@ let test_fp_intern_ids () =
 
 (* --- symmetry reduction --- *)
 
-(* Like [scripts_for], but also detect the interchangeable waiters the
-   way the CLI does: one representative Poll() per waiter, bisimulated
-   over the lint's response domain. *)
-let scripts_sym (module A : Signaling.POLLING) ~n ~waiters ~polls =
-  let ctx = Var.Ctx.create () in
-  let cfg = Signaling.config ~n ~waiters ~signalers:[ 0 ] in
-  let inst = Signaling.instantiate (module A) ctx cfg in
-  let layout = Var.Ctx.freeze ctx in
-  let scripts =
-    (0, Explore.of_list [ (Signaling.signal_label, inst.Signaling.i_signal 0) ])
-    :: List.map
-         (fun w ->
-           ( w,
-             Explore.repeat ~limit:polls
-               ~until:(fun r -> r = 1)
-               (Signaling.poll_label, inst.Signaling.i_poll w) ))
-         waiters
-  in
-  let symmetry =
-    Explore.detect_symmetry
-      ~values:(Analysis.Lint.value_domain ~n ~layout)
-      (List.map
-         (fun w -> (w, (Signaling.poll_label, inst.Signaling.i_poll w)))
-         waiters)
-  in
-  (layout, scripts, symmetry)
+(* Like [scripts_for], plus the interchangeable waiters the CLI detects:
+   one representative Poll() per waiter, bisimulated over the lint's
+   response domain. *)
+let scripts_sym algo ~n ~waiters ~polls =
+  let t = scope algo ~n ~waiters ~polls in
+  (Exhaustive.layout t, Exhaustive.scripts t, Exhaustive.symmetry t)
 
 let test_detect_symmetry () =
   (* cc-flag waiters all read the one shared flag: interchangeable. *)
@@ -652,38 +664,10 @@ let call_signatures ~n sim =
    finds it, and the static-indep facts computed from the very programs
    the scripts run.  Each search also returns the signatures of every
    call it saw complete ([call_signatures]). *)
-let lattice_search (module A : Signaling.POLLING) =
-  let n = 3 and waiters = [ 1; 2 ] in
-  let ctx = Var.Ctx.create () in
-  let inst =
-    Signaling.instantiate (module A) ctx
-      (Signaling.config ~n ~waiters ~signalers:[ 0 ])
-  in
-  let layout = Var.Ctx.freeze ctx in
-  let values = Analysis.Lint.value_domain ~n ~layout in
-  let signal = (Signaling.signal_label, inst.Signaling.i_signal 0) in
-  let polls =
-    List.map
-      (fun w -> (w, (Signaling.poll_label, inst.Signaling.i_poll w)))
-      waiters
-  in
-  let scripts =
-    (0, Explore.of_list [ signal ])
-    :: List.map
-         (fun (w, call) ->
-           (w, Explore.repeat ~limit:2 ~until:(fun r -> r = 1) call))
-         polls
-  in
-  let symmetry = Explore.detect_symmetry ~values polls in
-  let facts =
-    Analysis.Independence.of_cfgs
-      (List.map
-         (fun (pid, (_, prog)) ->
-           ( pid,
-             Analysis.Cfg.extract ~values ~exclusive:(fun _ -> false) ~pid prog
-           ))
-         ((0, signal) :: polls))
-  in
+let lattice_search algo =
+  let n = 3 in
+  let t = scope algo ~n ~waiters:[ 1; 2 ] ~polls:2 in
+  let layout = Exhaustive.layout t in
   let search (dedup, por, sym, indep) =
     let seen = Hashtbl.create 64 in
     let property sim =
@@ -692,14 +676,16 @@ let lattice_search (module A : Signaling.POLLING) =
     in
     let r =
       Explore.check ~dedup ~por
-        ~symmetry:(if sym then symmetry else Sim.Pid_set.empty)
+        ~symmetry:(if sym then Exhaustive.symmetry t else Sim.Pid_set.empty)
         ~commute:
-          (if indep then Analysis.Independence.commute facts else Op.commute)
-        ~layout ~model:(Cost_model.dsm layout) ~n ~scripts ~property ()
+          (if indep then Analysis.Independence.commute (Exhaustive.facts t)
+           else Op.commute)
+        ~layout ~model:(Cost_model.dsm layout) ~n ~scripts:(Exhaustive.scripts t)
+        ~property ()
     in
     (r, List.sort compare (List.of_seq (Hashtbl.to_seq_keys seen)))
   in
-  (search, Sim.Pid_set.cardinal symmetry)
+  (search, Sim.Pid_set.cardinal (Exhaustive.symmetry t))
 
 (* All 16 subsets of the four reductions, and a readable name for each. *)
 let lattice_subsets =
@@ -831,6 +817,11 @@ let suite =
     case "llsc-register: explored interleavings safe" test_llsc_register_exhaustive;
     case "dsm-fixed: all interleavings safe" test_fixed_waiters_exhaustive;
     case "multi-signaler: explored interleavings safe" test_multi_signaler_exhaustive;
+    case "scope error: dsm-single with two waiters"
+      test_scope_dsm_single_two_waiters;
+    case "scope error: waiters beyond n, none, or signaling too"
+      test_scope_bad_waiter_set;
+    case "scope error: zero polls" test_scope_zero_polls;
     case "dedup+por: >=10x fewer states than naive" test_reduction_ratio;
     case "3 waiters x 2 polls enumerates exhaustively"
       test_previously_infeasible_scope;

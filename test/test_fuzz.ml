@@ -14,7 +14,7 @@ let profile () =
   let algorithms =
     List.map
       (fun (module A : Core.Signaling.POLLING) -> A.name)
-      Core.Experiment.polling_algorithms
+      Core.Algorithms.polling_algorithms
   in
   let entries mutants =
     Analysis.Registry.all ~mutants ()

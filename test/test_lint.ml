@@ -7,11 +7,6 @@
 open Smr
 open Test_util
 
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
-
 let int_prog p = Program.map (fun () -> 0) p
 
 (* A one-shared, one-local layout plus the two cells, for hand-built
@@ -380,38 +375,18 @@ let test_explore_static_facts_prune () =
      conflict, the const-write fact proves it independent.  The extended
      relation must prune states without touching the verdict, at every
      jobs level. *)
-  let n = 4 and polls = 2 in
-  let ctx = Var.Ctx.create () in
-  let cfg = Core.Signaling.config ~n ~waiters:[ 2; 3 ] ~signalers:[ 0; 1 ] in
-  let inst = Core.Signaling.instantiate (module Core.Cc_flag) ctx cfg in
-  let layout = Var.Ctx.freeze ctx in
-  let scripts =
-    List.map
-      (fun s ->
-        ( s,
-          Explore.of_list
-            [ (Core.Signaling.signal_label, inst.Core.Signaling.i_signal s) ]
-        ))
-      cfg.Core.Signaling.signalers
-    @ List.map
-        (fun w ->
-          ( w,
-            Explore.repeat ~limit:polls
-              ~until:(fun r -> r = 1)
-              (Core.Signaling.poll_label, inst.Core.Signaling.i_poll w) ))
-        cfg.Core.Signaling.waiters
+  let n = 4 in
+  let t =
+    match
+      Core.Exhaustive.make (module Core.Cc_flag)
+        (Core.Signaling.config ~n ~waiters:[ 2; 3 ] ~signalers:[ 0; 1 ])
+        ~polls:2
+    with
+    | Ok t -> t
+    | Error msg -> Alcotest.fail msg
   in
-  let values = Analysis.Lint.value_domain ~n ~layout in
-  let cfg_of pid prog =
-    (pid, Analysis.Cfg.extract ~values ~exclusive:(fun _ -> false) ~pid prog)
-  in
-  let facts =
-    Analysis.Independence.of_cfgs
-      (List.map (fun s -> cfg_of s (inst.Core.Signaling.i_signal s))
-         cfg.Core.Signaling.signalers
-      @ List.map (fun w -> cfg_of w (inst.Core.Signaling.i_poll w))
-          cfg.Core.Signaling.waiters)
-  in
+  let layout = Core.Exhaustive.layout t and scripts = Core.Exhaustive.scripts t in
+  let facts = Core.Exhaustive.facts t in
   check_true "cc-flag const-write fact computed"
     (facts.Analysis.Independence.const_writes <> []);
   let run ?commute jobs =

@@ -79,7 +79,7 @@ let test_counters_fold_into_metrics () =
 (* --- the profiler over a small open-system scenario --- *)
 
 let scenario ~algorithm ~model ~waiters ~seed =
-  let m = Option.get (Core.Experiment.find_algorithm algorithm) in
+  let m = Option.get (Core.Algorithms.find_algorithm algorithm) in
   Core.Loadgen.scenario ~algorithm:m ~model
     { Workload.Driver.default_spec with seed; waiters; signals = 4 }
 
@@ -169,7 +169,7 @@ let test_coverage_signature_deterministic () =
   let algorithms =
     List.map
       (fun (module A : Core.Signaling.POLLING) -> A.name)
-      Core.Experiment.polling_algorithms
+      Core.Algorithms.polling_algorithms
   in
   let profile =
     { Fuzz.Gen.p_families = [ `Programs; `Script; `Entry ];

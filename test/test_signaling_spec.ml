@@ -111,11 +111,6 @@ let test_validate_config_pids () =
     match Signaling.validate_config flex cfg with
     | Ok () -> Alcotest.failf "%s: expected rejection" name
     | Error msg ->
-      let contains hay needle =
-        let lh = String.length hay and ln = String.length needle in
-        let rec at i = i + ln <= lh && (String.sub hay i ln = needle || at (i + 1)) in
-        at 0
-      in
       check_true
         (Printf.sprintf "%s: %S mentions %S" name msg fragment)
         (contains msg fragment)

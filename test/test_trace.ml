@@ -5,21 +5,21 @@
 open Smr
 open Test_util
 
-let alg name = Option.get (Core.Experiment.find_algorithm name)
+let alg name = Option.get (Core.Algorithms.find_algorithm name)
 
 (* Run one phased scenario with a fresh trace attached; return both. *)
 let traced ?(model = `Dsm) ?(n = 4) name =
   let m = alg name in
   let module A = (val m : Core.Signaling.POLLING) in
   let tr = Obs.Trace.create () in
-  let cfg = Core.Experiment.config_for m ~n in
+  let cfg = Core.Algorithms.config_for m ~n in
   let o = Core.Scenario.run_phased (module A) ~model ~cfg ~tracer:tr () in
   (tr, o)
 
 let untraced ?(model = `Dsm) ?(n = 4) name =
   let m = alg name in
   let module A = (val m : Core.Signaling.POLLING) in
-  let cfg = Core.Experiment.config_for m ~n in
+  let cfg = Core.Algorithms.config_for m ~n in
   Core.Scenario.run_phased (module A) ~model ~cfg ()
 
 (* --- acceptance: metrics agree with the scenario's accounting --- *)
@@ -60,22 +60,6 @@ let test_tracing_does_not_perturb () =
       check_true "no violations introduced"
         (o.Core.Scenario.violations = o'.Core.Scenario.violations))
     [ ("cc-flag", `Dsm); ("cc-flag", `Cc_wt); ("dsm-broadcast", `Dsm) ]
-
-(* --- determinism: rendering is independent of the parallel map --- *)
-
-let test_render_jobs_deterministic () =
-  let tr, _ = traced ~model:`Cc_wt "cc-flag" in
-  let evs = Obs.Trace.events tr in
-  let pmap f xs = Parallel.map ~jobs:2 f xs in
-  Alcotest.(check string) "jsonl identical under parallel map"
-    (Obs.Sink_jsonl.to_string evs)
-    (Obs.Sink_jsonl.to_string ~map:pmap evs);
-  Alcotest.(check string) "chrome identical under parallel map"
-    (Obs.Sink_chrome.to_string evs)
-    (Obs.Sink_chrome.to_string ~map:pmap evs);
-  Alcotest.(check string) "text identical under parallel map"
-    (Obs.Sink_text.to_string evs)
-    (Obs.Sink_text.to_string ~map:pmap evs)
 
 (* A parallel map must fail as [List.map] does, so that the stderr of a
    parallel run does not depend on scheduling.  Element 3 waits (bounded)
@@ -300,8 +284,6 @@ let suite =
     case "messages_total sums to outcome total_messages"
       test_messages_total_matches_outcome;
     case "tracing does not perturb the run" test_tracing_does_not_perturb;
-    case "sink rendering independent of parallel map"
-      test_render_jobs_deterministic;
     case "parallel map re-raises the lowest-index failure"
       test_parallel_map_lowest_failure;
     case "jsonl golden fixture" test_jsonl_golden;

@@ -9,6 +9,12 @@ let check_false msg b = Alcotest.(check bool) msg false b
 
 let case name f = Alcotest.test_case name `Quick f
 
+(* Whether [needle] occurs in [hay]. *)
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
 let qcheck ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
 

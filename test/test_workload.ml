@@ -75,7 +75,7 @@ let test_arrivals_gaps () =
 
 let scenario ?(algorithm = "cc-flag") ?(model = `Cc_wt) ?(k = 400) ?(seed = 11)
     ?(crash_prob = 0.0) ?(leave_early_prob = 0.0) () =
-  let m = Option.get (Core.Experiment.find_algorithm algorithm) in
+  let m = Option.get (Core.Algorithms.find_algorithm algorithm) in
   Core.Loadgen.scenario ~ways:2 ~algorithm:m ~model
     { Driver.default_spec with
       seed;
@@ -212,11 +212,7 @@ let test_timeline_sampled () =
     done
   done;
   let r = Timeline.render !sim in
-  let contains s sub =
-    let sl = String.length s and bl = String.length sub in
-    let rec go i = i + bl <= sl && (String.sub s i bl = sub || go (i + 1)) in
-    go 0
-  in
+  let contains = Test_util.contains in
   check_true (contains r "[sampled: 64 of 80 process columns shown]");
   (* ticks are counted among the visible columns only: 64 shown processes
      x 10 calls x 3 event ticks (begin, step, return) *)
